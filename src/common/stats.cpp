@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -46,33 +45,35 @@ double RunningStats::stddev() const { return std::sqrt(variance()); }
 
 void PercentileTracker::add(double x) {
   samples_.push_back(x);
-  sorted_ = false;
+  sum_ += x;
 }
 
 void PercentileTracker::merge(const PercentileTracker& other) {
+  for (double x : other.samples_) sum_ += x;
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
-  sorted_ = false;
 }
 
 double PercentileTracker::quantile(double q) const {
   if (samples_.empty()) return 0.0;
   LOKI_CHECK(q >= 0.0 && q <= 1.0);
-  if (!sorted_) {
-    std::sort(samples_.begin(), samples_.end());
-    sorted_ = true;
-  }
   const double pos = q * static_cast<double>(samples_.size() - 1);
   const std::size_t lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, samples_.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return samples_[lo] * (1.0 - frac) + samples_[hi] * frac;
+  // Rank lo by selection; rank lo + 1 is then the minimum of the upper
+  // part. Both are the exact order statistics a full sort would put there.
+  const auto nth = samples_.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(samples_.begin(), nth, samples_.end());
+  const double v_lo = *nth;
+  const double v_hi = nth + 1 == samples_.end()
+                          ? v_lo
+                          : *std::min_element(nth + 1, samples_.end());
+  return v_lo * (1.0 - frac) + v_hi * frac;
 }
 
 double PercentileTracker::mean() const {
   if (samples_.empty()) return 0.0;
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
+  return sum_ / static_cast<double>(samples_.size());
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)

@@ -45,18 +45,22 @@ class PercentileTracker {
   void reserve(std::size_t n) { samples_.reserve(n); }
   std::size_t count() const { return samples_.size(); }
 
-  /// Exact quantile with linear interpolation, q in [0, 1].
-  /// Returns 0 when empty.
+  /// Exact quantile with linear interpolation between the two bracketing
+  /// order statistics, q in [0, 1]; O(n) selection, no full sort. Returns 0
+  /// when empty.
   double quantile(double q) const;
   double p50() const { return quantile(0.50); }
   double p90() const { return quantile(0.90); }
   double p99() const { return quantile(0.99); }
+  /// Mean of the samples, summed in insertion order (merged trackers
+  /// continue the sum in the other tracker's order), so it never depends on
+  /// the permutation quantile queries leave behind.
   double mean() const;
 
  private:
-  // Sorted lazily on query; `sorted_` tracks validity.
+  // Queries reorder samples in place (selection); the sum is kept apart.
   mutable std::vector<double> samples_;
-  mutable bool sorted_ = true;
+  double sum_ = 0.0;
 };
 
 /// Fixed-width histogram over [lo, hi); out-of-range samples clamp to the

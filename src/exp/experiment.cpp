@@ -1,12 +1,17 @@
 #include "exp/experiment.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/inferline.hpp"
 #include "baselines/proteus.hpp"
 #include "common/check.hpp"
+#include "common/padded.hpp"
 #include "profile/profiler.hpp"
 #include "serving/strategy_registry.hpp"
 #include "sim/parallel.hpp"
@@ -115,35 +120,43 @@ std::vector<int> shard_shares(int cluster, std::size_t shards) {
   return share;
 }
 
-/// The global (timestamp, tier) arrival sequence every feed mode deals
-/// from: the replay verbatim when one is configured, else the sampled
-/// arrival stream with tiers drawn in global arrival order (TierSampler
-/// draws nothing without a tier mix, so tier-less runs are bit-identical).
-struct GlobalArrivals {
-  std::vector<double> t;
-  std::vector<int> tier;  // parallel to t
-};
+/// The global (timestamp, tier) arrival sequence every feed mode consumes,
+/// produced one arrival at a time: the replay verbatim when one is
+/// configured, else the sampled arrival stream with tiers drawn in global
+/// arrival order (TierSampler draws nothing without a tier mix, so tier-less
+/// runs are bit-identical). O(1) memory beyond the caller-owned replay.
+class ArrivalSource {
+ public:
+  ArrivalSource(const trace::DemandCurve& curve, const ExperimentConfig& cfg)
+      : replay_(cfg.replay),
+        stream_(curve, cfg.arrivals),
+        sampler_(cfg.tier_mix, cfg.tier_seed) {
+    if (replay_.empty()) head_ = stream_.next();
+  }
 
-GlobalArrivals collect_arrivals(const trace::DemandCurve& curve,
-                                const ExperimentConfig& cfg) {
-  GlobalArrivals out;
-  if (!cfg.replay.empty()) {
-    out.t.reserve(cfg.replay.rows.size());
-    out.tier.reserve(cfg.replay.rows.size());
-    for (const trace::ReplayRow& r : cfg.replay.rows) {
-      out.t.push_back(r.t_s);
-      out.tier.push_back(r.tier);
-    }
-    return out;
+  /// True once every arrival has been consumed.
+  bool done() const {
+    return replay_.empty() ? head_ < 0.0 : row_ == replay_.rows.size();
   }
-  trace::ArrivalStream stream(curve, cfg.arrivals);
-  trace::TierSampler sampler(cfg.tier_mix, cfg.tier_seed);
-  for (double t = stream.next(); t >= 0.0; t = stream.next()) {
-    out.t.push_back(t);
-    out.tier.push_back(sampler.next());
+  /// Timestamp of the next arrival (requires !done()).
+  double head() const {
+    return replay_.empty() ? head_ : replay_.rows[row_].t_s;
   }
-  return out;
-}
+  /// Consumes the next arrival and returns its tier.
+  int pop() {
+    if (!replay_.empty()) return replay_.rows[row_++].tier;
+    const int tier = sampler_.next();
+    head_ = stream_.next();
+    return tier;
+  }
+
+ private:
+  const trace::QueryReplay& replay_;
+  trace::ArrivalStream stream_;
+  trace::TierSampler sampler_;
+  double head_ = -1.0;  // sampled stream: next timestamp, < 0 when done
+  std::size_t row_ = 0;  // replay: next row
+};
 
 /// Simulation end time: past the curve AND any replay tail, plus drain.
 /// Without a replay this is exactly the pre-replay horizon.
@@ -180,168 +193,142 @@ struct FallbackRungs {
   }
 };
 
-/// Partitions the arrival sequence across shards: round-robin (the
-/// bit-reproducible reference) or share-weighted interleave. Tiers travel
-/// with their arrival. Also publishes each shard's observed-demand counter
-/// (exp.shard<k>.arrivals).
-std::vector<std::vector<double>> partition_arrivals(
-    const GlobalArrivals& seq, const ExperimentConfig& cfg,
-    const std::vector<int>& share, obs::Registry* registry,
-    std::vector<std::vector<int>>* shard_tiers) {
-  const std::size_t shards = share.size();
-  std::vector<std::vector<double>> shard_arrivals(shards);
-  shard_tiers->assign(shards, {});
-  if (cfg.sim_weighted_split) {
-    std::vector<double> weights(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      weights[s] = static_cast<double>(share[s]);
-    }
-    WeightedInterleave interleave(std::move(weights));
-    for (std::size_t j = 0; j < seq.t.size(); ++j) {
-      const std::size_t s = interleave.next();
-      shard_arrivals[s].push_back(seq.t[j]);
-      (*shard_tiers)[s].push_back(seq.tier[j]);
-    }
-  } else {
-    for (std::size_t j = 0; j < seq.t.size(); ++j) {
-      const std::size_t s = j % shards;
-      shard_arrivals[s].push_back(seq.t[j]);
-      (*shard_tiers)[s].push_back(seq.tier[j]);
-    }
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    registry->counter("exp.shard" + std::to_string(s) + ".arrivals")
-        .add(shard_arrivals[s].size());
-  }
-  return shard_arrivals;
-}
-
-/// Streams the shared arrival sequence into the shard systems. Two modes:
+/// Streams the global arrival sequence into the shard systems one window
+/// at a time. At arm() and at every window barrier it deals the arrivals
+/// with t <= barrier + window_s (the next barrier) to the shards:
+/// round-robin by global arrival index (the bit-reproducible reference), or
+/// share-weighted interleave under sim_weighted_split / sim_reweight. The
+/// bound is inclusive like Simulation::run_until, so an arrival exactly on
+/// a barrier fires inside the window that barrier closes — before any
+/// replan the barrier triggers. Each shard's chained pump walks its reused
+/// window buffer, so the event heap holds one arrival per shard and feed
+/// memory is O(arrivals per window), not O(trace).
 ///
-///  - pre-partitioned (default): the sequence is dealt to shards up front
-///    (round-robin or share-weighted interleave, partition_arrivals above)
-///    and each shard runs a chained arrival pump over its slice — the
-///    bit-reproducible reference.
-///  - sim_reweight: arrivals are dealt one *window* at a time from the
-///    barrier, re-deriving each shard's weight from its surviving worker
-///    count (share minus crashed workers), so a mid-run crash shifts the
-///    following windows' load onto the survivors. The interleave persists
-///    across windows and is rebuilt only when the weights change, so with
-///    constant weights the assignment — and the run's metrics — match the
-///    upfront weighted partition exactly (differential-tested).
+/// Under sim_reweight the weights are re-derived at every barrier from each
+/// shard's surviving worker count (share minus crashed workers), so a
+/// mid-run crash shifts the following windows' load onto the survivors.
+/// The interleave persists across windows and is rebuilt only when the
+/// weights change, so with constant weights the assignment matches the
+/// plain weighted split exactly (differential-tested).
 ///
-/// init() runs before the shard systems are constructed (it registers the
-/// exp.shard<k>.arrivals counters in the same order partition_arrivals did);
-/// arm() runs after ServingSystem::start(), when worker states exist.
-struct ShardArrivalFeeder {
-  sim::ParallelSimulation* psim = nullptr;
-  std::vector<std::unique_ptr<serving::ServingSystem>>* systems = nullptr;
-  std::vector<int> share;
-  double window_s = 0.0;
-  bool reweight = false;
-
-  // Pre-partitioned mode.
-  std::vector<std::vector<double>> shard_arrivals;
-  std::vector<std::vector<int>> shard_tiers;
-  std::vector<std::size_t> next_idx;
-  std::vector<std::function<void()>> pumps;
-
-  // Reweight mode.
-  std::vector<double> arrivals;  // full sequence, ascending
-  std::vector<int> tiers;        // parallel to arrivals
-  std::size_t cursor = 0;
-  std::vector<double> weights;  // unnormalized, for change detection
-  std::unique_ptr<WeightedInterleave> interleave;
-  std::vector<obs::Counter> counters;
-
-  void init(const trace::DemandCurve& curve, const ExperimentConfig& cfg,
-            obs::Registry* registry) {
-    reweight = cfg.sim_reweight;
-    GlobalArrivals seq = collect_arrivals(curve, cfg);
-    if (!reweight) {
-      shard_arrivals =
-          partition_arrivals(seq, cfg, share, registry, &shard_tiers);
-      return;
+/// Construct before the shard systems (it registers the
+/// exp.shard<k>.arrivals counters first); arm() after they have started.
+class ShardArrivalFeeder {
+ public:
+  ShardArrivalFeeder(const trace::DemandCurve& curve,
+                     const ExperimentConfig& cfg, std::vector<int> share,
+                     sim::ParallelSimulation* psim, obs::Registry* registry)
+      : source_(curve, cfg),
+        psim_(psim),
+        share_(std::move(share)),
+        window_s_(cfg.sim_window_s),
+        reweight_(cfg.sim_reweight),
+        feeds_(share_.size()) {
+    for (std::size_t s = 0; s < feeds_.size(); ++s) {
+      feeds_[s].arrivals =
+          registry->counter("exp.shard" + std::to_string(s) + ".arrivals");
     }
-    arrivals = std::move(seq.t);
-    tiers = std::move(seq.tier);
-    counters.reserve(share.size());
-    for (std::size_t s = 0; s < share.size(); ++s) {
-      counters.push_back(
-          registry->counter("exp.shard" + std::to_string(s) + ".arrivals"));
+    if (cfg.sim_weighted_split || reweight_) {
+      weights_.assign(share_.begin(), share_.end());
+      interleave_ = std::make_unique<WeightedInterleave>(weights_);
     }
   }
 
-  void arm() {
-    const std::size_t shards = share.size();
-    if (reweight) {
-      refresh_weights();
-      schedule_until(window_s);
-      return;
-    }
-    next_idx.assign(shards, 0);
-    pumps.resize(shards);
-    for (std::size_t s = 0; s < shards; ++s) {
-      pumps[s] = [this, s]() {
-        const std::size_t i = next_idx[s];
-        (*systems)[s]->submit(shard_tiers[s][i]);
-        const std::size_t j = next_idx[s] = i + 1;
-        if (j < shard_arrivals[s].size()) {
-          psim->shard(s).schedule_at(shard_arrivals[s][j],
-                                     [&pump = pumps[s]]() { pump(); });
+  void arm(
+      const std::vector<std::unique_ptr<serving::ServingSystem>>& systems) {
+    for (std::size_t s = 0; s < feeds_.size(); ++s) {
+      ShardFeed& f = feeds_[s];
+      serving::ServingSystem* sys = systems[s].get();
+      sim::Simulation* sim = &psim_->shard(s);
+      f.system = sys;
+      f.pump = [&f, sys, sim]() {
+        sys->submit(f.window[f.next].tier);
+        if (++f.next < f.window.size()) {
+          sim->schedule_at(f.window[f.next].t, [&pump = f.pump]() { pump(); });
         }
       };
-      if (!shard_arrivals[s].empty()) {
-        psim->shard(s).schedule_at(shard_arrivals[s][0],
-                                   [&pump = pumps[s]]() { pump(); });
+    }
+    on_barrier(psim_->now());
+  }
+
+  /// Barrier hook: deals the next window (after refreshing the weights
+  /// from the current crash state under sim_reweight).
+  void on_barrier(double now) {
+    if (reweight_) refresh_weights();
+    for (ShardFeed& f : feeds_) {
+      // The last deal's bound was this barrier, and every arrival lies
+      // within the run horizon, so each pump has fired its whole buffer.
+      LOKI_CHECK(f.next == f.window.size());
+      f.window.clear();
+      f.next = 0;
+    }
+    const double bound = now + window_s_;
+    while (!source_.done() && source_.head() <= bound) {
+      const double t = source_.head();
+      const int tier = source_.pop();
+      const std::size_t s = interleave_ != nullptr
+                                ? interleave_->next()
+                                : static_cast<std::size_t>(dealt_++ %
+                                                           feeds_.size());
+      feeds_[s].window.push_back(Arrival{t, tier});
+    }
+    for (std::size_t s = 0; s < feeds_.size(); ++s) {
+      ShardFeed& f = feeds_[s];
+      f.arrivals.add(f.window.size());
+      if (!f.window.empty()) {
+        psim_->shard(s).schedule_at(f.window[0].t,
+                                    [&pump = f.pump]() { pump(); });
       }
     }
   }
 
-  /// Barrier hook (reweight mode only): deal the next window's arrivals
-  /// with weights recomputed from the current crash state.
-  void on_barrier(double now) {
-    if (!reweight) return;
-    refresh_weights();
-    schedule_until(now + window_s);
-  }
+ private:
+  struct Arrival {
+    double t;
+    int tier;
+  };
+  // One cache line apart: each shard's pump advances `next` on its own
+  // pool thread.
+  struct alignas(kCacheLineBytes) ShardFeed {
+    std::vector<Arrival> window;  // this window's arrivals, ascending
+    std::size_t next = 0;         // next arrival the pump submits
+    serving::ServingSystem* system = nullptr;
+    std::function<void()> pump;
+    obs::Counter arrivals;
+  };
 
   void refresh_weights() {
-    std::vector<double> w(share.size());
+    std::vector<double> w(share_.size());
     double total = 0.0;
-    for (std::size_t s = 0; s < share.size(); ++s) {
+    for (std::size_t s = 0; s < share_.size(); ++s) {
       w[s] = static_cast<double>(
-          std::max(0, share[s] - (*systems)[s]->crashed_workers()));
+          std::max(0, share_[s] - feeds_[s].system->crashed_workers()));
       total += w[s];
     }
     if (total <= 0.0) {
       // Every worker everywhere is down: keep dealing by share so arrivals
       // still land somewhere deterministic (and get accounted as sheds).
-      for (std::size_t s = 0; s < share.size(); ++s) {
-        w[s] = static_cast<double>(share[s]);
-      }
+      w.assign(share_.begin(), share_.end());
     }
-    if (interleave == nullptr || w != weights) {
-      weights = std::move(w);
-      interleave = std::make_unique<WeightedInterleave>(weights);
+    if (w != weights_) {
+      weights_ = std::move(w);
+      interleave_ = std::make_unique<WeightedInterleave>(weights_);
     }
   }
 
-  void schedule_until(double horizon) {
-    while (cursor < arrivals.size() && arrivals[cursor] < horizon) {
-      const double t = arrivals[cursor];
-      const int tier = tiers[cursor];
-      ++cursor;
-      const std::size_t s = interleave->next();
-      counters[s].add(1);
-      serving::ServingSystem* sys = (*systems)[s].get();
-      psim->shard(s).schedule_at(t, [sys, tier]() { sys->submit(tier); });
-    }
-  }
+  ArrivalSource source_;
+  sim::ParallelSimulation* psim_;
+  std::vector<int> share_;
+  double window_s_;
+  bool reweight_;
+  std::vector<ShardFeed> feeds_;  // never resized: pumps hold references
+  std::uint64_t dealt_ = 0;       // round-robin: global arrival index
+  std::vector<double> weights_;   // unnormalized, for change detection
+  std::unique_ptr<WeightedInterleave> interleave_;
 };
 
 ExperimentResult result_from_metrics(const std::string& name,
-                                     const serving::Metrics& m,
+                                     serving::Metrics m,
                                      double total_solve_time_s,
                                      int allocations) {
   ExperimentResult out;
@@ -355,8 +342,24 @@ ExperimentResult result_from_metrics(const std::string& name,
   out.drops = m.drops();
   out.total_solve_time_s = total_solve_time_s;
   out.allocations = allocations;
-  out.metrics = m;
+  out.metrics = std::move(m);
   return out;
+}
+
+/// Finishes every shard system at t_end and folds their metrics into one,
+/// the latency store pre-sized to the summed sample count.
+serving::Metrics finish_and_merge(
+    std::vector<std::unique_ptr<serving::ServingSystem>>& systems,
+    double t_end, double metrics_window_s) {
+  std::size_t samples = 0;
+  for (auto& system : systems) {
+    system->finish(t_end);
+    samples += system->metrics().latency().count();
+  }
+  serving::Metrics merged(metrics_window_s);
+  merged.reserve_latency(samples);
+  for (const auto& system : systems) merged.merge(system->metrics());
+  return merged;
 }
 
 /// Parallel simulation mode: K independent (cluster slice, arrival slice)
@@ -367,22 +370,19 @@ ExperimentResult run_experiment_sharded(const pipeline::PipelineGraph& graph,
                                         const serving::ProfileTable& profiles,
                                         std::size_t shards,
                                         obs::Registry* registry) {
-  // Partition of the *same* arrival sequence the sequential reference uses
-  // (round-robin, or share-weighted with sim_weighted_split), so the total
-  // arrival count matches the sequential run exactly.
+  // The feeder deals the *same* arrival sequence the sequential reference
+  // consumes (round-robin, or share-weighted with sim_weighted_split), so
+  // the total arrival count matches the sequential run exactly.
   const int cluster = cfg.system_cfg.allocator.cluster_size;
   const std::vector<int> share = shard_shares(cluster, shards);
 
   sim::ParallelSimulation::Config pcfg;
   pcfg.shards = shards;
   pcfg.window_s = cfg.sim_window_s;
+  pcfg.threads = cfg.sim_threads;
   sim::ParallelSimulation psim(pcfg);
 
-  ShardArrivalFeeder feeder;
-  feeder.psim = &psim;
-  feeder.share = share;
-  feeder.window_s = cfg.sim_window_s;
-  feeder.init(curve, cfg, registry);
+  ShardArrivalFeeder feeder(curve, cfg, share, &psim, registry);
 
   // The global-id fault plan splits along the same contiguous worker-share
   // ranges as the cluster itself; each shard arms only its own slice
@@ -420,27 +420,23 @@ ExperimentResult run_experiment_sharded(const pipeline::PipelineGraph& graph,
   // strategy construction stays off the worker threads.
   for (auto& system : systems) system->start();
 
-  feeder.systems = &systems;
-  feeder.arm();
-  if (cfg.sim_reweight) {
-    psim.set_barrier_callback(
-        [&feeder](sim::Time now) { feeder.on_barrier(now); });
-  }
+  feeder.arm(systems);
+  psim.set_barrier_callback(
+      [&feeder](sim::Time now) { feeder.on_barrier(now); });
 
   const double t_end = run_horizon(curve, cfg);
   psim.run_until(t_end);
 
-  serving::Metrics merged(cfg.system_cfg.metrics_window_s);
+  serving::Metrics merged =
+      finish_and_merge(systems, t_end, cfg.system_cfg.metrics_window_s);
   double solve_s = 0.0;
   int allocations = 0;
-  for (std::size_t s = 0; s < shards; ++s) {
-    systems[s]->finish(t_end);
-    merged.merge(systems[s]->metrics());
-    solve_s += systems[s]->total_solve_time_s();
-    allocations += systems[s]->allocations_performed();
+  for (const auto& system : systems) {
+    solve_s += system->total_solve_time_s();
+    allocations += system->allocations_performed();
   }
-  return result_from_metrics(strategies.front()->name(), merged, solve_s,
-                             allocations);
+  return result_from_metrics(strategies.front()->name(), std::move(merged),
+                             solve_s, allocations);
 }
 
 /// Coordinated parallel mode: ONE strategy, solving once per control epoch
@@ -466,11 +462,7 @@ ExperimentResult run_experiment_coordinated(
   pcfg.threads = cfg.sim_threads;
   sim::ParallelSimulation psim(pcfg);
 
-  ShardArrivalFeeder feeder;
-  feeder.psim = &psim;
-  feeder.share = share;
-  feeder.window_s = cfg.sim_window_s;
-  feeder.init(curve, cfg, registry);
+  ShardArrivalFeeder feeder(curve, cfg, share, &psim, registry);
 
   // Fault mode: shard systems arm their slice of the plan and run detection
   // locally (they are external systems, so they never replan on their own);
@@ -701,19 +693,15 @@ ExperimentResult run_experiment_coordinated(
     while (next_replan <= now + 1e-9) next_replan += cfg.system_cfg.rm_period_s;
   });
 
-  feeder.systems = &systems;
-  feeder.arm();
+  feeder.arm(systems);
 
   const double t_end = run_horizon(curve, cfg);
   psim.run_until(t_end);
 
-  serving::Metrics merged(cfg.system_cfg.metrics_window_s);
-  for (std::size_t s = 0; s < shards; ++s) {
-    systems[s]->finish(t_end);
-    merged.merge(systems[s]->metrics());
-  }
-  return result_from_metrics(strategies.front()->name(), merged, solve_s,
-                             allocations);
+  return result_from_metrics(
+      strategies.front()->name(),
+      finish_and_merge(systems, t_end, cfg.system_cfg.metrics_window_s),
+      solve_s, allocations);
 }
 
 }  // namespace
@@ -768,37 +756,21 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
     system.start();
 
     // Stream arrivals: each arrival event submits and schedules the next
-    // one, keeping the event queue O(in-flight) instead of O(trace). Tiers
-    // are sampled inline in arrival order (the sampler draws nothing
-    // without a mix, so tier-less runs are bit-identical); a configured
-    // replay is fed by index instead.
-    trace::ArrivalStream stream(curve, cfg.arrivals);
-    trace::TierSampler sampler(cfg.tier_mix, cfg.tier_seed);
-    std::size_t replay_idx = 0;
-    std::function<void()> pump;
-    if (!cfg.replay.empty()) {
-      pump = [&]() {
-        system.submit(cfg.replay.rows[replay_idx].tier);
-        if (++replay_idx < cfg.replay.rows.size()) {
-          sim.schedule_at(cfg.replay.rows[replay_idx].t_s, pump);
-        }
-      };
-      sim.schedule_at(cfg.replay.rows[0].t_s, pump);
-    } else {
-      pump = [&]() {
-        system.submit(sampler.next());
-        const double next = stream.next();
-        if (next >= 0.0) sim.schedule_at(next, pump);
-      };
-      const double first = stream.next();
-      if (first >= 0.0) sim.schedule_at(first, pump);
-    }
+    // one, keeping the event queue O(in-flight) instead of O(trace).
+    ArrivalSource source(curve, cfg);
+    std::function<void()> pump = [&]() {
+      system.submit(source.pop());
+      if (!source.done()) {
+        sim.schedule_at(source.head(), [&pump]() { pump(); });
+      }
+    };
+    if (!source.done()) sim.schedule_at(source.head(), [&pump]() { pump(); });
 
     const double t_end = run_horizon(curve, cfg);
     sim.run_until(t_end);
     system.finish(t_end);
 
-    out = result_from_metrics(strategy->name(), system.metrics(),
+    out = result_from_metrics(strategy->name(), std::move(system.metrics()),
                               system.total_solve_time_s(),
                               system.allocations_performed());
   }

@@ -101,8 +101,8 @@ struct ExperimentConfig {
   /// post-crash demand re-split of ROADMAP item 4. It also models drifting
   /// demand splits generally: the interleave is rebuilt only when the
   /// weights actually change, so with constant weights (no faults) the
-  /// assignment — and the run's metrics — are bit-identical to the upfront
-  /// partition (differential-tested).
+  /// assignment — and the run's metrics — are bit-identical to the plain
+  /// weighted split (differential-tested).
   bool sim_reweight = false;
   /// Deterministic fault schedule (ROADMAP item 4), armed as first-class
   /// simulation events. Worker ids are global cluster ids; the parallel

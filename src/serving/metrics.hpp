@@ -98,6 +98,9 @@ class Metrics {
   const TimeSeries& servers_series() const { return servers_series_; }
 
   const PercentileTracker& latency() const { return latency_; }
+  /// Pre-sizes the latency sample store, e.g. to the summed shard sample
+  /// counts before a merge, so merging never regrows it.
+  void reserve_latency(std::size_t n) { latency_.reserve(n); }
   double window_s() const { return window_s_; }
 
   /// Flushes the current partial window into the series (call at end of

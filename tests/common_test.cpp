@@ -2,9 +2,11 @@
 // thread pool, and the check macros.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/csv.hpp"
@@ -199,6 +201,79 @@ TEST(PercentileTracker, MergeAndInterleavedAdd) {
   a.merge(b);
   EXPECT_EQ(a.count(), 100u);
   EXPECT_NEAR(a.p50(), 49.5, 1e-9);
+}
+
+/// Sort-based reference the selection quantile must reproduce bit for bit.
+double sorted_quantile(std::vector<double> xs, double q) {
+  std::sort(xs.begin(), xs.end());
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  const double frac = pos - static_cast<double>(lo);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+double insertion_order_mean(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (double x : xs) sum += x;
+  return sum / static_cast<double>(xs.size());
+}
+
+TEST(PercentileTracker, SelectionMatchesSortedReferenceExactly) {
+  // Random samples with heavy duplication (half the draws come from a
+  // five-value set), queried between adds and across a merge. Every
+  // quantile equals the full-sort answer exactly, and the mean stays the
+  // insertion-order sum no matter how queries permuted the store.
+  Rng rng(47);
+  const std::vector<double> qs = {0.0, 0.5, 0.99, 1.0};
+  auto draw = [&rng] {
+    return rng.uniform() < 0.5
+               ? static_cast<double>(rng.uniform_index(5)) * 0.125
+               : rng.uniform(0.0, 2.0);
+  };
+  PercentileTracker a, b, c;
+  std::vector<double> in_a;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 1 + round * 7; ++i) {
+      const double x = draw();
+      a.add(x);
+      in_a.push_back(x);
+    }
+    for (double q : qs) {
+      EXPECT_EQ(a.quantile(q), sorted_quantile(in_a, q))
+          << "round " << round << " q " << q;
+    }
+    EXPECT_EQ(a.mean(), insertion_order_mean(in_a)) << "round " << round;
+  }
+  // An unqueried tracker merges in insertion order: the mean continues the
+  // concatenated insertion-order sum exactly.
+  for (int i = 0; i < 301; ++i) {
+    const double x = draw();
+    b.add(x);
+    in_a.push_back(x);
+  }
+  a.merge(b);
+  ASSERT_EQ(a.count(), in_a.size());
+  EXPECT_EQ(a.mean(), insertion_order_mean(in_a));
+  for (double q : qs) {
+    EXPECT_EQ(a.quantile(q), sorted_quantile(in_a, q)) << "q " << q;
+  }
+  // A queried (permuted) tracker merges just as exactly for quantiles, and
+  // further queries leave the mean untouched.
+  for (int i = 0; i < 257; ++i) {
+    const double x = draw();
+    c.add(x);
+    in_a.push_back(x);
+  }
+  EXPECT_EQ(c.p99(), sorted_quantile(std::vector<double>(in_a.end() - 257,
+                                                         in_a.end()),
+                                     0.99));
+  a.merge(c);
+  const double mean = a.mean();
+  for (double q : qs) {
+    EXPECT_EQ(a.quantile(q), sorted_quantile(in_a, q)) << "q " << q;
+  }
+  EXPECT_EQ(a.mean(), mean);
 }
 
 TEST(Histogram, BinningAndClamping) {

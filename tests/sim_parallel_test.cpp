@@ -10,10 +10,14 @@
 //     bit-reproducible reference, pinned to full-precision metrics captured
 //     before the data-plane overhaul (pooled events / indexed heap /
 //     SmallFunction callbacks must not perturb a single event ordering).
+//  4. Parallel-mode goldens: coordinated, weighted-split, reweighted,
+//     tiered and replay-fed runs pinned to full-precision outcomes, so the
+//     window-by-window streamed arrival feed replays the same deal.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/check.hpp"
@@ -23,6 +27,7 @@
 #include "sim/parallel.hpp"
 #include "tests/test_support.hpp"
 #include "trace/generator.hpp"
+#include "trace/replay.hpp"
 
 namespace loki {
 namespace {
@@ -179,6 +184,32 @@ TEST(ParallelExperiment, ShardedRunIsDeterministic) {
   EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
   EXPECT_DOUBLE_EQ(a.mean_servers_used, b.mean_servers_used);
   EXPECT_EQ(a.allocations, b.allocations);
+}
+
+TEST(ParallelExperiment, ShardedDeterministicAcrossThreadCounts) {
+  // Plain sharded mode honours sim_threads like coordinated mode does, and
+  // the result cannot depend on how many pool threads drive the shards.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto curve = diff_curve();
+
+  auto cfg = diff_config(2);
+  cfg.sim_threads = 1;
+  const auto a = exp::run_experiment(graph, curve, cfg);
+  cfg.sim_threads = 2;
+  const auto b = exp::run_experiment(graph, curve, cfg);
+
+  EXPECT_EQ(a.arrivals, b.arrivals);
+  EXPECT_EQ(a.drops, b.drops);
+  EXPECT_EQ(a.metrics.completions(), b.metrics.completions());
+  EXPECT_EQ(a.metrics.shed(), b.metrics.shed());
+  EXPECT_EQ(a.slo_violation_ratio, b.slo_violation_ratio);
+  EXPECT_EQ(a.mean_accuracy, b.mean_accuracy);
+  EXPECT_EQ(a.mean_latency_s, b.mean_latency_s);
+  EXPECT_EQ(a.p99_latency_s, b.p99_latency_s);
+  EXPECT_EQ(a.mean_servers_used, b.mean_servers_used);
+  EXPECT_EQ(a.allocations, b.allocations);
+  EXPECT_EQ(a.obs.counter_value("exp.shard0.arrivals"),
+            b.obs.counter_value("exp.shard0.arrivals"));
 }
 
 // ---------------------------------------------------------------------------
@@ -420,9 +451,8 @@ TEST(WeightedSplit, SkewedCoordinatedRunIsDeterministicAndAccounted) {
 
 TEST(Reweight, ConstantWeightsAreBitIdenticalSharded) {
   // With no faults the surviving-worker weights never change, so the
-  // windowed re-weighting feeder must reproduce the upfront round-robin
-  // partition bit for bit (equal shares reduce the interleave to
-  // round-robin, and per-arrival scheduling preserves event order).
+  // re-weighting feed must reproduce the round-robin deal bit for bit
+  // (equal shares reduce the interleave to round-robin).
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   const auto curve = diff_curve();
 
@@ -488,6 +518,139 @@ TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   EXPECT_EQ(r2.obs.counter_value("exp.shard0.arrivals"), s0);
   EXPECT_EQ(r2.drops, r.drops);
   EXPECT_DOUBLE_EQ(r2.mean_latency_s, r.mean_latency_s);
+}
+
+// ---------------------------------------------------------------------------
+// Parallel-mode goldens
+// ---------------------------------------------------------------------------
+
+// Full-precision outcomes of the parallel feed modes, captured while
+// run_experiment still materialized the whole arrival sequence and
+// pre-partitioned it across shards. The streamed window-by-window feed must deal every
+// arrival to the same shard at the same simulated time, so each run stays
+// bit-identical. Doubles compare with EXPECT_EQ: exact, not within ULPs.
+struct ParallelGolden {
+  std::uint64_t arrivals = 0;
+  std::uint64_t drops = 0;
+  std::uint64_t shed = 0;
+  std::uint64_t completions = 0;
+  double slo_violation_ratio = 0.0;
+  double mean_accuracy = 0.0;
+  double mean_latency_s = 0.0;
+  double p99_latency_s = 0.0;
+  std::vector<std::uint64_t> shard_arrivals;
+};
+
+void expect_golden(const exp::ExperimentResult& r, const ParallelGolden& g) {
+  EXPECT_EQ(r.arrivals, g.arrivals);
+  EXPECT_EQ(r.drops, g.drops);
+  EXPECT_EQ(r.metrics.shed(), g.shed);
+  EXPECT_EQ(r.metrics.completions(), g.completions);
+  EXPECT_EQ(r.slo_violation_ratio, g.slo_violation_ratio);
+  EXPECT_EQ(r.mean_accuracy, g.mean_accuracy);
+  EXPECT_EQ(r.mean_latency_s, g.mean_latency_s);
+  EXPECT_EQ(r.p99_latency_s, g.p99_latency_s);
+  for (std::size_t k = 0; k < g.shard_arrivals.size(); ++k) {
+    EXPECT_EQ(r.obs.counter_value("exp.shard" + std::to_string(k) +
+                                  ".arrivals"),
+              g.shard_arrivals[k])
+        << "shard " << k;
+  }
+}
+
+TEST(ParallelGoldens, CoordinatedRoundRobin) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto r = exp::run_experiment(graph, diff_curve(), coord_config(2, 0));
+  expect_golden(r, {3180, 39, 0, 3141,
+                    0.012264150943396227, 0.99950971028334878,
+                    0.092131595595809163, 0.23083910543265201,
+                    {1590, 1590}});
+}
+
+TEST(ParallelGoldens, ShardedWeightedSplit) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = diff_config(3);
+  cfg.system_cfg.allocator.cluster_size = 10;
+  cfg.sim_weighted_split = true;
+  const auto r = exp::run_experiment(graph, diff_curve(), cfg);
+  expect_golden(r, {3180, 14, 0, 3166,
+                    0.0044025157232704401, 1.0,
+                    0.087638297597336073, 0.21792781272143846,
+                    {1272, 954, 954}});
+}
+
+TEST(ParallelGoldens, ReweightAfterMidRunCrash) {
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = diff_config(2);
+  cfg.sim_reweight = true;
+  cfg.fault_plan = fault::crash_plan(1, 10.0, 0.0);
+  const auto r = exp::run_experiment(graph, diff_curve(), cfg);
+  expect_golden(r, {3180, 78, 48, 3102,
+                    0.024528301886792454, 0.99949226305609307,
+                    0.090806514042477582, 0.21592496243661954,
+                    {1381, 1799}});
+}
+
+TEST(ParallelGoldens, TieredCoordinated) {
+  // Half the workers of the differential config: the tier mix meets real
+  // queueing, so admission and tier-priority batching both engage.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(2, 0);
+  cfg.system_cfg.allocator.cluster_size = 4;
+  cfg.tiers.enabled = true;
+  cfg.tier_mix = {0.2, 0.4, 0.4};
+  const auto r = exp::run_experiment(graph, diff_curve(), cfg);
+  expect_golden(r, {3180, 111, 0, 3069,
+                    0.035534591194968553, 0.93719872010426819,
+                    0.080708559298066085, 0.21930405559948973,
+                    {1590, 1590}});
+}
+
+TEST(ParallelGoldens, ReplayRowsOnBarriersCoordinated) {
+  // 32 qps on an exact binary grid, so every 0.25 s window barrier carries
+  // a row, plus a 64-row burst exactly on each 10 s control-period barrier.
+  // Barrier rows fire inside the window they close, before that barrier's
+  // replan (ReplayRowOnFinalBarrierFires pins the bound directly).
+  trace::QueryReplay replay;
+  for (int i = 0; i < 1920; ++i) {
+    const double t = static_cast<double>(i) / 32.0;
+    replay.rows.push_back({t, 0, i % 3});
+    if (i > 0 && i % 320 == 0) {
+      for (int k = 0; k < 64; ++k) replay.rows.push_back({t, 0, k % 3});
+    }
+  }
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(2, 0);
+  cfg.replay = replay;
+  const auto r = exp::run_experiment(
+      graph, trace::replay_demand_curve(replay, 1.0), cfg);
+  expect_golden(r, {2240, 269, 0, 1971,
+                    0.13526785714285713, 1.0,
+                    0.085065719389921357, 0.31844144144146469,
+                    {1120, 1120}});
+}
+
+TEST(ParallelGoldens, ReplayRowOnFinalBarrierFires) {
+  // With no drain the run ends exactly on the 20 s window barrier, where
+  // the replay's last two rows sit (the demand curve is binned from the
+  // rows before them, so it ends there too). The feed bound is inclusive,
+  // like Simulation::run_until, so those rows still fire: every row counts.
+  trace::QueryReplay replay;
+  for (int i = 0; i < 160; ++i) {
+    replay.rows.push_back({static_cast<double>(i) / 8.0, 0, 0});
+  }
+  const auto curve = trace::replay_demand_curve(replay, 1.0);
+  ASSERT_EQ(curve.duration_s(), 20.0);
+  replay.rows.push_back({20.0, 0, 0});
+  replay.rows.push_back({20.0, 0, 0});
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  for (const bool coordinated : {false, true}) {
+    auto cfg = coordinated ? coord_config(2, 0) : diff_config(2);
+    cfg.replay = replay;
+    cfg.drain_s = 0.0;
+    const auto r = exp::run_experiment(graph, curve, cfg);
+    EXPECT_EQ(r.arrivals, replay.rows.size()) << "coordinated " << coordinated;
+  }
 }
 
 // ---------------------------------------------------------------------------
