@@ -602,7 +602,7 @@ void ServingSystem::forward_item(cluster::WorkItem item, int group) {
   }
   const double delay = comm_delay();
   tracer_.add_comm(item.query_id, delay);
-  sim_->schedule_after(delay, [this, item, wid]() mutable {
+  sim_->post_after(delay, [this, item, wid]() mutable {
     auto& w = *workers_[static_cast<std::size_t>(wid)];
     if (!w.active()) {
       // Reassigned (or crashed) while in flight: any worker of the task.
@@ -736,7 +736,7 @@ void ServingSystem::on_batch_done(cluster::Worker& w,
             qstate->outstanding += 1;
             const double delay = comm_delay();
             tracer_.add_comm(next.query_id, delay);
-            sim_->schedule_after(delay, [this, next, alt]() mutable {
+            sim_->post_after(delay, [this, next, alt]() mutable {
               auto& aw = *workers_[static_cast<std::size_t>(alt)];
               if (!aw.active()) {
                 drop_query_part(next.query_id, sim_->now());
@@ -1366,7 +1366,7 @@ void ServingSystem::resolve_stranded(int worker, double now) {
       c_fault_stranded_retried_.add(1);
       c_degrade_retries_.add(1);
       cluster::WorkItem copy = item;
-      sim_->schedule_after(delay, [this, copy]() mutable {
+      sim_->post_after(delay, [this, copy]() mutable {
         const double t = sim_->now();
         const int alt = stopped_ ? -1 : pick_worker_for_task(copy.task);
         if (alt < 0) {

@@ -15,9 +15,9 @@ void Simulation::cancel(EventId id) {
 }
 
 bool Simulation::fire_front() {
-  const std::uint32_t slot = heap_.front().slot;
+  const HeapEntry top = heap_.front();
   {
-    Event& e = events_.at_slot(slot);
+    Event& e = events_.at_slot(top.slot);
     if (e.deferred_seq != 0) {
       // Lazily rescheduled: the popped key is stale. Re-key the root with
       // the deferred (t, seq) — pop order from here on is identical to an
@@ -29,8 +29,6 @@ bool Simulation::fire_front() {
       return false;
     }
   }
-  now_ = heap_.front().t;
-  ++processed_;
   // Specialized root removal: the root never sifts up.
   const std::size_t last = heap_.size() - 1;
   if (last != 0) {
@@ -39,28 +37,51 @@ bool Simulation::fire_front() {
   }
   heap_.pop_back();
   if (last != 0) sift_down(0);
+  fire(top);
+  return true;
+}
+
+void Simulation::fire_lane_front() {
+  const HeapEntry e = lane_.front();
+  lane_.pop_front();
+  fire(e);
+}
+
+void Simulation::fire(const HeapEntry& e) {
+  now_ = e.t;
+  ++processed_;
   // Fire in place: the handle goes stale *before* the callback runs (so
   // cancel()/reschedule() on the firing event are no-ops, exactly as if it
   // had been erased), but the callback object is destroyed and its slot
   // recycled only after it returns. Slab slots are pointer-stable, so
   // events the callback schedules cannot move it.
-  events_.invalidate_slot(slot);
-  events_.at_slot(slot).cb();
-  events_.release_slot(slot);
-  return true;
+  events_.invalidate_slot(e.slot);
+  events_.at_slot(e.slot).cb();
+  events_.release_slot(e.slot);
 }
 
 bool Simulation::step() {
-  while (!heap_.empty()) {
+  for (;;) {
+    if (lane_first()) {
+      fire_lane_front();
+      return true;
+    }
+    if (heap_.empty()) return false;
     if (fire_front()) return true;
   }
-  return false;
 }
 
 void Simulation::run_until(Time t_end) {
   LOKI_CHECK(t_end >= now_);
-  while (!heap_.empty() && heap_.front().t <= t_end) {
-    fire_front();
+  for (;;) {
+    if (lane_first()) {
+      if (lane_.front().t > t_end) break;
+      fire_lane_front();
+    } else if (!heap_.empty() && heap_.front().t <= t_end) {
+      fire_front();
+    } else {
+      break;
+    }
   }
   now_ = t_end;
 }

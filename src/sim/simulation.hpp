@@ -13,6 +13,14 @@
 // and reschedule() remove or move the entry in O(log n) directly, with no
 // tombstones and no compaction passes (the old cancel-heavy timeout
 // workloads paid a periodic heap rebuild).
+//
+// Constant-delay forwards skip the heap: post_after() appends fire-and-forget
+// events to a FIFO lane whenever their time is no earlier than the lane's
+// tail, which keeps the lane sorted by (t, seq) by construction (now() never
+// decreases and seq always grows). Each step fires whichever of the lane
+// front and the heap front is earlier, so the firing order is the same total
+// (t, seq) order a heap-only queue produces. A post that would break the
+// lane's order (a jittered or shrinking delay) takes the heap instead.
 #pragma once
 
 #include <cstdint>
@@ -60,6 +68,21 @@ class Simulation {
     LOKI_CHECK(dt >= 0.0);
     return schedule_at(now_ + dt, std::move(cb));
   }
+  /// Fire-and-forget variant of schedule_after() (dt >= 0) for events that
+  /// are never cancelled or rescheduled, so it returns no handle. The event
+  /// joins the FIFO forward lane — O(1), no heap walk — when its time is no
+  /// earlier than the lane's last event, and the heap otherwise; either way
+  /// it draws the next sequence number and fires in (t, seq) order.
+  void post_after(double dt, Callback cb) {
+    LOKI_CHECK(dt >= 0.0);
+    const Time t = now_ + dt;
+    if (!lane_.empty() && t < lane_[lane_.size() - 1].t) {
+      schedule_at(t, std::move(cb));
+      return;
+    }
+    const auto h = events_.emplace(std::move(cb));
+    lane_.push_back(HeapEntry{t, next_seq_++, HandlePool<Event>::slot_of(h)});
+  }
   /// Cancels a pending event; no-op if it already fired or was cancelled.
   void cancel(EventId id);
   /// Moves a pending event to a new time `t` (>= now) without touching its
@@ -100,7 +123,7 @@ class Simulation {
   /// Processes a single event; returns false when the queue is empty.
   bool step();
 
-  std::size_t pending() const { return heap_.size(); }
+  std::size_t pending() const { return heap_.size() + lane_.size(); }
   std::uint64_t processed() const { return processed_; }
 
  private:
@@ -130,12 +153,24 @@ class Simulation {
   /// false if the front entry only carried a stale key for a lazily
   /// rescheduled event — the entry is silently re-keyed, nothing fires.
   bool fire_front();
+  /// True when the lane holds the earliest pending key. A lazily re-keyed
+  /// heap front carries a key no later than its real one, so when it wins
+  /// here fire_front() may only re-key it and the caller compares again.
+  bool lane_first() const {
+    return !lane_.empty() &&
+           (heap_.empty() || before(lane_.front(), heap_.front()));
+  }
+  /// Pops the lane front and runs its callback.
+  void fire_lane_front();
+  /// Advances now() to the popped entry's time and runs its callback.
+  void fire(const HeapEntry& e);
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   HandlePool<Event> events_;
   std::vector<HeapEntry> heap_;  // binary heap ordered by (t, seq)
+  RingBuffer<HeapEntry> lane_;   // post_after() events, sorted by (t, seq)
 };
 
 }  // namespace loki::sim

@@ -9,7 +9,9 @@
 //  3. Sequential bit-identity goldens: the one-shard path is the
 //     bit-reproducible reference, pinned to full-precision metrics captured
 //     before the data-plane overhaul (pooled events / indexed heap /
-//     SmallFunction callbacks must not perturb a single event ordering).
+//     SmallFunction callbacks must not perturb a single event ordering),
+//     and before the forward lane, with forward delays that break its
+//     monotone tail (the heap-fallback path).
 //  4. Parallel-mode goldens: coordinated, weighted-split, reweighted,
 //     tiered and replay-fed runs pinned to full-precision outcomes, so the
 //     window-by-window streamed arrival feed replays the same deal.
@@ -691,6 +693,53 @@ TEST(SequentialGoldens, SmokeWorkloadMetricsAreBitIdentical) {
   EXPECT_DOUBLE_EQ(r.mean_latency_s, 0.098174636698791506);
   EXPECT_DOUBLE_EQ(r.p99_latency_s, 0.23212521921268792);
   EXPECT_DOUBLE_EQ(r.mean_servers_used, 3.9692307692307702);
+}
+
+TEST(SequentialGoldens, NonMonotoneForwardDelaysAreBitIdentical) {
+  // The smoke workload with every source of non-monotone forward delay
+  // switched on: 30% comm jitter, a network-degrade window that raises the
+  // forward delay by 20 ms and then drops it back, and a crash whose
+  // stranded items take the tiered exponential-backoff retry path. Forwards
+  // whose target time falls before an already queued forward cannot join
+  // the simulation core's FIFO forward lane; they take the event heap, and
+  // the run must still fire every event in (t, seq) order. Goldens captured
+  // before the lane existed; doubles compare exactly.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kAzureDiurnal;
+  tcfg.duration_s = 60.0;
+  tcfg.peak_qps = 120.0;
+  tcfg.seed = test::test_seed("e2e_smoke_curve");
+  const auto curve = trace::generate_trace(tcfg);
+
+  exp::ExperimentConfig cfg;
+  cfg.system = "loki-milp";
+  cfg.system_cfg.allocator.cluster_size = 8;
+  cfg.system_cfg.allocator.slo_s = 0.250;
+  cfg.system_cfg.comm_jitter_frac = 0.3;
+  cfg.arrivals.seed = test::test_seed("e2e_smoke_arrivals");
+  cfg.tiers.enabled = true;
+  cfg.tier_mix = {0.2, 0.4, 0.4};
+  // Worker 1 recovers before the detector declares it dead, so the items
+  // it stranded are re-dispatched with backoff instead of given up.
+  cfg.fault_plan = fault::crash_plan(1, 30.0, 30.05);
+  cfg.fault_plan.events.push_back(
+      {15.0, fault::FaultKind::kNetworkDegradeStart, -1, 0.020, 0.0});
+  cfg.fault_plan.events.push_back(
+      {25.0, fault::FaultKind::kNetworkDegradeEnd, -1, 0.0, 0.0});
+  cfg.fault_plan.normalize();
+
+  const auto r = exp::run_experiment(graph, curve, cfg);
+
+  EXPECT_EQ(r.obs.counter_value("serving.degrade.retries"), 5u);
+  EXPECT_EQ(r.arrivals, 3070u);
+  EXPECT_EQ(r.drops, 113u);
+  EXPECT_EQ(r.metrics.shed(), 11u);
+  EXPECT_EQ(r.metrics.completions(), 2957u);
+  EXPECT_EQ(r.slo_violation_ratio, 0.038762214983713357);
+  EXPECT_EQ(r.mean_accuracy, 1.0);
+  EXPECT_EQ(r.mean_latency_s, 0.10092319593387679);
+  EXPECT_EQ(r.p99_latency_s, 0.22944706302328685);
 }
 
 }  // namespace
