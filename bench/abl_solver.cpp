@@ -5,7 +5,7 @@
 // warm-started bound-overlay re-solve path (the branch-and-bound node access
 // pattern) against an equivalent cold solve, and full branch-and-bound runs
 // on structured MILPs. Every benchmark exports its pivot/node counters so
-// scripts/bench_solver.sh can track work counts, not just wall time.
+// `scripts/bench.py solver` can track work counts, not just wall time.
 #include <benchmark/benchmark.h>
 
 #include <string>

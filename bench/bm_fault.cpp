@@ -8,8 +8,8 @@
 //     and recovery_s (means of the serving.fault.{detect,recovery}_ns
 //     histograms) plus shed_by_failure. These are *simulated* quantities —
 //     deterministic under the pinned seed and comparable across hosts, so
-//     scripts/check_bench_regression.py --suite fault bounds them against
-//     the committed baseline, unlike wall times.
+//     `scripts/bench.py fault` bounds them against the committed baseline,
+//     unlike wall times.
 //   BM_FaultGate - the paired passivity measurement: each iteration runs
 //     one default epoch and one armed-but-inert epoch (detector enabled,
 //     one crash scheduled far past the end) back-to-back. Exports

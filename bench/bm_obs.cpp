@@ -16,9 +16,8 @@
 //     back-to-back on the same wall clock, so host drift hits both arms.
 //     Exports overhead_frac (on/off wall-time ratio - 1) and bit_identical
 //     (1 when every simulation metric matched across the arms — the
-//     passivity invariant). scripts/check_bench_regression.py --suite obs
-//     fails when overhead_frac exceeds its bound (default 3%) or
-//     bit_identical is not 1.
+//     passivity invariant). `scripts/bench.py obs` fails when
+//     overhead_frac exceeds 3% or bit_identical is not 1.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>

@@ -61,23 +61,6 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
                                                     profiles);
 }
 
-std::string to_string(SystemKind k) {
-  switch (k) {
-    case SystemKind::kLoki: return "loki-milp";
-    case SystemKind::kInferLine: return "inferline";
-    case SystemKind::kProteus: return "proteus";
-    case SystemKind::kGreedy: return "greedy";
-  }
-  return "?";
-}
-
-std::unique_ptr<serving::AllocationStrategy> make_strategy(
-    SystemKind kind, const serving::AllocatorConfig& cfg,
-    const pipeline::PipelineGraph* graph,
-    const serving::ProfileTable& profiles) {
-  return make_strategy(to_string(kind), cfg, graph, profiles);
-}
-
 WeightedInterleave::WeightedInterleave(std::vector<double> weights)
     : weights_(std::move(weights)), assigned_(weights_.size(), 0.0) {
   LOKI_CHECK(!weights_.empty());

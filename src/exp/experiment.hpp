@@ -35,20 +35,6 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
     const pipeline::PipelineGraph* graph,
     const serving::ProfileTable& profiles);
 
-/// Deprecated shim for the closed pre-registry enum (§6.1 baselines). The
-/// registry key is the single source of truth; these helpers only translate
-/// old call sites.
-enum class SystemKind { kLoki, kInferLine, kProteus, kGreedy };
-
-/// Registry key for `k` ("loki-milp", "inferline", "proteus", "greedy").
-std::string to_string(SystemKind k);
-
-/// Deprecated: make_strategy(to_string(kind), ...).
-std::unique_ptr<serving::AllocationStrategy> make_strategy(
-    SystemKind kind, const serving::AllocatorConfig& cfg,
-    const pipeline::PipelineGraph* graph,
-    const serving::ProfileTable& profiles);
-
 struct ExperimentConfig {
   /// Registry key of the strategy to run (serving/strategy_registry.hpp).
   std::string system = "loki-milp";

@@ -92,13 +92,6 @@ void Metrics::record_utilization(double t, int servers_used,
                                  : 0.0);
 }
 
-void Metrics::record_demand_estimate(double /*t*/, double /*qps*/) {
-  // Estimates are plotted from demand_series_; kept as a hook for tooling.
-}
-
-void Metrics::record_allocation(double /*t*/, double /*solve_time_s*/,
-                                int /*mode*/) {}
-
 double Metrics::tier_attainment(int t) const {
   const TierCounts& tc = tiers_[clamp_tier(t)];
   const std::uint64_t total = tc.completions + tc.drops;

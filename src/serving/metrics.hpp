@@ -54,8 +54,6 @@ class Metrics {
                       LossCause cause = LossCause::kCapacity, int tier = 0);
   /// Periodic cluster snapshot: servers in use / total.
   void record_utilization(double t, int servers_used, int cluster_size);
-  void record_demand_estimate(double t, double qps);
-  void record_allocation(double t, double solve_time_s, int mode);
   /// Intermediate-result forwards committed to downstream workers (fan-out
   /// volume; the per-batch bookkeeping that used to be computed and thrown
   /// away in the runtime).

@@ -274,8 +274,6 @@ void ServingSystem::install_plan(AllocationPlan plan) {
   }
   apply_plan(std::move(plan));
   run_load_balancer();
-  metrics_.record_allocation(now, plan_.solve_time_s,
-                             static_cast<int>(plan_.mode));
   if (fault_active_) {
     planned_fault_epoch_ = fault_epoch_;
     update_degraded();
@@ -922,19 +920,13 @@ void ServingSystem::run_resource_manager(bool force) {
     // the epoch loop or installs a corrupt plan.
     FallbackOutcome fo = fallback_chain_->plan(req);
     result = std::move(fo.result);
-    last_plan_rung_ = fo.rung;
     if (fo.fallbacks > 0) {
-      plan_fallbacks_ += static_cast<std::uint64_t>(fo.fallbacks);
       c_degrade_plan_fallbacks_.add(static_cast<std::uint64_t>(fo.fallbacks));
     }
     if (fo.rejects > 0) {
-      plan_rejects_ += static_cast<std::uint64_t>(fo.rejects);
       c_degrade_plan_rejects_.add(static_cast<std::uint64_t>(fo.rejects));
     }
-    if (fo.retained_previous) {
-      ++plans_retained_;
-      c_degrade_plan_retained_.add(1);
-    }
+    if (fo.retained_previous) c_degrade_plan_retained_.add(1);
   } else {
     result = strategy_->plan(req);
   }
@@ -950,8 +942,6 @@ void ServingSystem::run_resource_manager(bool force) {
   ++allocations_;
   apply_plan(std::move(plan));
   run_load_balancer();  // LB runs on every allocation change (§5.1)
-  metrics_.record_allocation(now, plan_.solve_time_s,
-                             static_cast<int>(plan_.mode));
   if (fault_active_) {
     planned_fault_epoch_ = fault_epoch_;
     update_degraded();

@@ -246,12 +246,6 @@ class ServingSystem {
   const std::array<double, kNumTiers>& tier_serve_probabilities() const {
     return tier_serve_probs_;
   }
-  /// Fallback-chain accounting (all zero when the chain is disabled).
-  std::uint64_t plan_fallbacks() const { return plan_fallbacks_; }
-  std::uint64_t plan_rejects() const { return plan_rejects_; }
-  std::uint64_t plans_retained() const { return plans_retained_; }
-  /// Rung that produced the most recent plan (0 primary .. 3 retained).
-  int last_plan_rung() const { return last_plan_rung_; }
 
  private:
   struct QueryState {
@@ -473,10 +467,6 @@ class ServingSystem {
   /// Deadline-enforced plan() fallback chain (built when cfg.fallback is
   /// enabled and the system owns its Resource Manager).
   std::unique_ptr<PlanFallbackChain> fallback_chain_;
-  std::uint64_t plan_fallbacks_ = 0;
-  std::uint64_t plan_rejects_ = 0;
-  std::uint64_t plans_retained_ = 0;
-  int last_plan_rung_ = 0;
   obs::Counter c_degrade_admission_shed_;
   obs::Counter c_degrade_overload_shed_;
   obs::Counter c_degrade_remainder_rescued_;
