@@ -17,9 +17,12 @@
 //     window-by-window streamed arrival feed replays the same deal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.hpp"
@@ -115,6 +118,144 @@ TEST(ParallelSim, PostBeforeBarrierIsRejected) {
   });
   psim.run_until(0.5);
   EXPECT_TRUE(threw);
+}
+
+// ---------------------------------------------------------------------------
+// Shard team: failure paths and a many-window stress
+// ---------------------------------------------------------------------------
+
+// Every shard sleeps mid-window, so the thread that finishes first has to
+// wait for the others; the shards in `throwers` then throw CheckFailure
+// later in the same window, the rest finish it. With threads = 2, even
+// shards run on the calling thread and odd shards on the worker.
+void expect_rethrow_after_window(std::size_t threads,
+                                 const std::vector<std::size_t>& throwers) {
+  constexpr std::size_t kShards = 4;
+  std::array<bool, kShards> slept{};
+  std::array<bool, kShards> finished{};
+  std::string what;
+  {
+    sim::ParallelSimulation::Config cfg;
+    cfg.shards = kShards;
+    cfg.window_s = 0.25;
+    cfg.threads = threads;
+    sim::ParallelSimulation psim(cfg);
+    for (std::size_t i = 0; i < kShards; ++i) {
+      const bool throws =
+          std::find(throwers.begin(), throwers.end(), i) != throwers.end();
+      psim.shard(i).schedule_at(0.1, [&slept, i]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        slept[i] = true;
+      });
+      psim.shard(i).schedule_at(0.2, [&finished, i, throws]() {
+        if (throws) throw CheckFailure("shard " + std::to_string(i));
+        finished[i] = true;
+      });
+    }
+    try {
+      psim.run_until(1.0);
+    } catch (const CheckFailure& e) {
+      what = e.what();
+    }
+    // The rethrow waited for the whole first window.
+    for (std::size_t i = 0; i < kShards; ++i) {
+      EXPECT_TRUE(slept[i]) << "shard " << i;
+      const bool throws =
+          std::find(throwers.begin(), throwers.end(), i) != throwers.end();
+      EXPECT_EQ(finished[i], !throws) << "shard " << i;
+      if (!throws) {
+        EXPECT_DOUBLE_EQ(psim.shard(i).now(), 0.25) << "shard " << i;
+      }
+    }
+    EXPECT_DOUBLE_EQ(psim.now(), 0.0);
+  }  // destroying the team after a failed window must return, not hang
+  EXPECT_EQ(what, "shard " + std::to_string(throwers.front()));
+}
+
+TEST(ShardTeam, CallerShardThrowRethrownAfterWindow) {
+  for (std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    expect_rethrow_after_window(threads, {0});
+  }
+}
+
+TEST(ShardTeam, WorkerShardThrowRethrownAfterWindow) {
+  // Two worker-owned shards throw: the lowest index wins.
+  for (std::size_t threads : {1u, 2u}) {
+    SCOPED_TRACE(threads);
+    expect_rethrow_after_window(threads, {1, 3});
+  }
+}
+
+struct FiringLogEntry {
+  double t = 0.0;
+  int from = -1;          // -1: the shard's own tick; else the posting shard
+  std::uint64_t tag = 0;  // own tick: RNG state; post: sender's log length
+  bool operator==(const FiringLogEntry& o) const {
+    return t == o.t && from == o.from && tag == o.tag;
+  }
+};
+
+// 5 shards, 2,000 windows of 1 ms: each shard ticks at seeded random gaps
+// and, on about a quarter of its ticks, posts to a random shard at two
+// windows out, so posts from several sources often share a target time and
+// the merge order decides their firing order.
+std::vector<std::vector<FiringLogEntry>> stress_logs(std::size_t threads) {
+  constexpr std::size_t kShards = 5;
+  constexpr double kWindow = 0.001;
+  sim::ParallelSimulation::Config cfg;
+  cfg.shards = kShards;
+  cfg.window_s = kWindow;
+  cfg.threads = threads;
+  sim::ParallelSimulation psim(cfg);
+  std::vector<std::vector<FiringLogEntry>> logs(kShards);
+  std::vector<std::uint64_t> rng(kShards);
+  struct Tick {
+    sim::ParallelSimulation* psim;
+    std::vector<std::vector<FiringLogEntry>>* logs;
+    std::vector<std::uint64_t>* rng;
+    std::size_t s;
+    void operator()() const {
+      sim::Simulation& shard = psim->shard(s);
+      std::uint64_t& r = (*rng)[s];
+      (*logs)[s].push_back({shard.now(), -1, r});
+      r = r * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((r >> 62) == 0) {
+        const std::size_t dst = (r >> 32) % kShards;
+        const int from = static_cast<int>(s);
+        const std::uint64_t tag = (*logs)[s].size();
+        auto* dst_logs = &(*logs)[dst];
+        sim::Simulation* dst_shard = &psim->shard(dst);
+        psim->post(s, dst, psim->now() + 2 * kWindow,
+                   [dst_shard, dst_logs, from, tag]() {
+                     dst_logs->push_back({dst_shard->now(), from, tag});
+                   });
+      }
+      const double gap =
+          2e-5 + static_cast<double>(r >> 40) * 0x1.0p-24 * 8e-4;
+      shard.schedule_at(shard.now() + gap, *this);
+    }
+  };
+  for (std::size_t s = 0; s < kShards; ++s) {
+    rng[s] = 0x9E3779B97F4A7C15ULL * (s + 1);
+    psim.shard(s).schedule_at(0.0, Tick{&psim, &logs, &rng, s});
+  }
+  psim.run_until(2000 * kWindow);
+  return logs;
+}
+
+TEST(ShardTeam, ManyWindowsMatchSingleThreadExactly) {
+  const auto want = stress_logs(1);
+  std::size_t posts = 0;
+  for (const auto& log : want) {
+    ASSERT_GT(log.size(), 2000u);
+    for (const auto& e : log) posts += e.from >= 0 ? 1 : 0;
+  }
+  ASSERT_GT(posts, 1000u);
+  for (std::size_t threads : {2u, 3u, 8u}) {
+    SCOPED_TRACE(threads);
+    EXPECT_TRUE(stress_logs(threads) == want);
+  }
 }
 
 // ---------------------------------------------------------------------------
