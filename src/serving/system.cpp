@@ -504,32 +504,23 @@ int ServingSystem::pick_group(const RoutingPlan::DrawTable& table) {
 
 int ServingSystem::scan_group(int group, bool skip_quarantined) const {
   if (group < 0 || group >= static_cast<int>(group_workers_.size())) return -1;
-  // Least-loaded replica over the packed load cells; workers mid model-swap
-  // only as a last resort (their queue stalls for the whole load time).
-  // Tie-breaks (first minimum in group order) match the old per-Worker scan.
+  // Least-loaded replica over the packed load cells. The cell encoding
+  // orders the two tiers by itself: any idle-or-serving cell is below any
+  // mid-swap cell (loading bit = MSB; their queue stalls for the whole
+  // load time), and inactive cells (all ones) never win a strict compare,
+  // so quarantined workers are masked to inactive. First minimum in group
+  // order wins ties, matching the old per-Worker scan.
   int best = -1;
-  std::uint32_t best_load = cluster::Worker::kLoadCellInactive;
-  int best_loading = -1;
-  std::uint32_t best_loading_load = cluster::Worker::kLoadCellInactive;
+  std::uint32_t best_cell = cluster::Worker::kLoadCellInactive;
   for (int wid : group_workers_[static_cast<std::size_t>(group)]) {
-    if (skip_quarantined &&
-        worker_quarantined_[static_cast<std::size_t>(wid)]) {
-      continue;
-    }
-    const std::uint32_t cell = worker_load_[static_cast<std::size_t>(wid)];
-    if (cell == cluster::Worker::kLoadCellInactive) continue;
-    if (cell & cluster::Worker::kLoadCellLoadingBit) {
-      const std::uint32_t l = cell & ~cluster::Worker::kLoadCellLoadingBit;
-      if (l < best_loading_load) {
-        best_loading_load = l;
-        best_loading = wid;
-      }
-    } else if (cell < best_load) {
-      best_load = cell;
+    const std::uint32_t cell = effective_cell(static_cast<std::size_t>(wid),
+                                              skip_quarantined);
+    if (cell < best_cell) {
+      best_cell = cell;
       best = wid;
     }
   }
-  return best >= 0 ? best : best_loading;
+  return best;
 }
 
 int ServingSystem::pick_worker(int group) const {
@@ -541,27 +532,18 @@ int ServingSystem::pick_worker(int group) const {
 }
 
 int ServingSystem::scan_task(int task, bool skip_quarantined) const {
+  // Same one-compare minimum as scan_group, over every worker hosting task.
   int best = -1;
-  std::uint32_t best_load = cluster::Worker::kLoadCellInactive;
-  int best_loading = -1;
-  std::uint32_t best_loading_load = cluster::Worker::kLoadCellInactive;
+  std::uint32_t best_cell = cluster::Worker::kLoadCellInactive;
   for (std::size_t wid = 0; wid < worker_load_.size(); ++wid) {
     if (worker_task_[wid] != task) continue;
-    if (skip_quarantined && worker_quarantined_[wid]) continue;
-    const std::uint32_t cell = worker_load_[wid];
-    if (cell == cluster::Worker::kLoadCellInactive) continue;
-    if (cell & cluster::Worker::kLoadCellLoadingBit) {
-      const std::uint32_t l = cell & ~cluster::Worker::kLoadCellLoadingBit;
-      if (l < best_loading_load) {
-        best_loading_load = l;
-        best_loading = static_cast<int>(wid);
-      }
-    } else if (cell < best_load) {
-      best_load = cell;
+    const std::uint32_t cell = effective_cell(wid, skip_quarantined);
+    if (cell < best_cell) {
+      best_cell = cell;
       best = static_cast<int>(wid);
     }
   }
-  return best >= 0 ? best : best_loading;
+  return best;
 }
 
 int ServingSystem::pick_worker_for_task(int task) const {

@@ -319,6 +319,13 @@ class ServingSystem {
   int pick_worker_for_task(int task) const;
   int scan_group(int group, bool skip_quarantined) const;
   int scan_task(int task, bool skip_quarantined) const;
+  /// A worker's load cell for the replica scans, reading inactive for a
+  /// quarantined worker when `skip_quarantined` is set.
+  std::uint32_t effective_cell(std::size_t wid, bool skip_quarantined) const {
+    return skip_quarantined && worker_quarantined_[wid]
+               ? cluster::Worker::kLoadCellInactive
+               : worker_load_[wid];
+  }
   /// True while any worker is crashed. Routing-gap losses (no staffed
   /// group / no worker for a task) during an outage are crash collateral
   /// and attributed to kWorkerFailure, not to shedding policy; only the
