@@ -151,6 +151,30 @@ void SimplexContext::recompute_basic_values() {
   }
 }
 
+void SimplexContext::eliminate(int r, int q) {
+  double* rowr = &a_[static_cast<std::size_t>(r) * n_];
+  const double inv = 1.0 / rowr[q];
+  for (int j = 0; j < n_; ++j) rowr[j] *= inv;
+  rowr[q] = 1.0;  // exact
+  bvec_[r] *= inv;
+  // The scaled pivot row is about half zeros on the allocation LPs: walk
+  // only its nonzero columns (same operations in the same order as a dense
+  // pass that skips zeros, so results are bit-identical).
+  pivot_nz_.clear();
+  for (int j = 0; j < n_; ++j) {
+    if (rowr[j] != 0.0) pivot_nz_.push_back(j);
+  }
+  for (int i = 0; i < m_; ++i) {
+    if (i == r || !row_active_[i]) continue;
+    double* rowi = &a_[static_cast<std::size_t>(i) * n_];
+    const double factor = rowi[q];
+    if (factor == 0.0) continue;
+    for (int j : pivot_nz_) rowi[j] -= factor * rowr[j];
+    rowi[q] = 0.0;  // exact
+    bvec_[i] -= factor * bvec_[r];
+  }
+}
+
 void SimplexContext::pivot(int r, int q, double entering_delta,
                            double leave_value, VarState leave_state) {
   // Move the other basic values along the entering direction, skipping rows
@@ -175,28 +199,12 @@ void SimplexContext::pivot(int r, int q, double entering_delta,
     state_[leave] = leave_state;
   }
 
-  double* rowr = &a_[static_cast<std::size_t>(r) * n_];
-  const double inv = 1.0 / rowr[q];
-  for (int j = 0; j < n_; ++j) rowr[j] *= inv;
-  rowr[q] = 1.0;  // exact
-  bvec_[r] *= inv;
-  for (int i = 0; i < m_; ++i) {
-    if (i == r || !row_active_[i]) continue;
-    double* rowi = &a_[static_cast<std::size_t>(i) * n_];
-    const double factor = rowi[q];
-    if (factor == 0.0) continue;
-    for (int j = 0; j < n_; ++j) {
-      if (rowr[j] != 0.0) rowi[j] -= factor * rowr[j];
-    }
-    rowi[q] = 0.0;  // exact
-    bvec_[i] -= factor * bvec_[r];
-  }
+  eliminate(r, q);
   // Incremental reduced-cost update: d stays equal to cost - y·(B^-1 A).
+  const double* rowr = &a_[static_cast<std::size_t>(r) * n_];
   const double dq = d_[q];
   if (dq != 0.0) {
-    for (int j = 0; j < n_; ++j) {
-      if (rowr[j] != 0.0) d_[j] -= dq * rowr[j];
-    }
+    for (int j : pivot_nz_) d_[j] -= dq * rowr[j];
   }
   d_[q] = 0.0;  // exact
   basis_[r] = q;
@@ -658,22 +666,7 @@ bool SimplexContext::crash_basis(const BasisSnapshot& bs) {
     }
     if (r < 0) return false;
     assigned[r] = 1;
-    double* rowr = &a_[static_cast<std::size_t>(r) * n_];
-    const double inv = 1.0 / rowr[q];
-    for (int j = 0; j < n_; ++j) rowr[j] *= inv;
-    rowr[q] = 1.0;  // exact
-    bvec_[r] *= inv;
-    for (int i2 = 0; i2 < m_; ++i2) {
-      if (i2 == r) continue;
-      const double f = at(i2, q);
-      if (f == 0.0) continue;
-      double* row2 = &a_[static_cast<std::size_t>(i2) * n_];
-      for (int j = 0; j < n_; ++j) {
-        if (rowr[j] != 0.0) row2[j] -= f * rowr[j];
-      }
-      row2[q] = 0.0;  // exact
-      bvec_[i2] -= f * bvec_[r];
-    }
+    eliminate(r, q);  // every row is active in a freshly built tableau
     basis_[r] = q;
     state_[q] = VarState::kBasic;
     val_[q] = 0.0;

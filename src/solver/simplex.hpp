@@ -251,6 +251,10 @@ class SimplexContext {
   void set_phase2_costs();
   void recompute_reduced_costs();
   void recompute_basic_values();
+  /// Gauss-Jordan step: scales row `row` so column `col` reads 1 and
+  /// eliminates `col` from every other active row. Leaves the scaled row's
+  /// nonzero columns in pivot_nz_.
+  void eliminate(int row, int col);
   void pivot(int row, int col, double entering_delta, double leave_value,
              VarState leave_state);
   LpStatus primal_loop(LpSolution& out, bool phase1);
@@ -284,6 +288,8 @@ class SimplexContext {
   std::vector<double> devex_w_;   // devex reference weights (per column);
                                   // re-initialized at every primal pass, so
                                   // not part of Snapshot state
+  std::vector<int> pivot_nz_;     // scratch: nonzero columns of the
+                                  // last eliminated pivot row
   bool basis_dual_feasible_ = false;
   int since_refresh_ = 0;
 };
