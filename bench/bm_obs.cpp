@@ -12,8 +12,9 @@
 //     attribution (p50/p99 queue / batch / execute / swap-stall, in
 //     microseconds) plus the registry's self-measured snapshot cost.
 //   BM_ObsOverheadGate - the paired overhead measurement the CI gate reads:
-//     each iteration runs one tracing-off and one tracing-on epoch
-//     back-to-back on the same wall clock, so host drift hits both arms.
+//     each iteration builds one tracing-off and one tracing-on epoch and
+//     advances them in alternating 1 s slices on the same wall clock, so
+//     host drift hits both arms.
 //     Exports overhead_frac (on/off wall-time ratio - 1) and bit_identical
 //     (1 when every simulation metric matched across the arms — the
 //     passivity invariant). `scripts/bench.py obs` fails when
@@ -23,6 +24,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 
 #include "common/clock.hpp"
@@ -111,48 +113,97 @@ struct EpochOutcome {
   }
 };
 
-/// One 20 s / 6000 qps epoch on a 96-worker cluster (the BM_ServingE2EEpoch
-/// shape), with the obs wiring routed into `reg`. Returns the simulation
-/// metrics plus the epoch's wall time.
-EpochOutcome run_epoch(const pipeline::PipelineGraph& graph,
-                       const serving::ProfileTable& profiles, bool tracing,
-                       obs::Registry* reg) {
-  const double duration_s = 20.0;
-  const std::uint64_t t0 = steady_now_ns();
-  sim::Simulation sim;
+serving::SystemConfig epoch_config(bool tracing, obs::Registry* reg) {
   serving::SystemConfig cfg;
   cfg.allocator.cluster_size = 96;
   cfg.allocator.slo_s = 0.250;
   cfg.registry = reg;
   cfg.trace.enabled = tracing;
-  serving::MilpAllocator strategy(cfg.allocator, &graph, profiles);
-  serving::ServingSystem system(&sim, &graph, profiles, &strategy, cfg);
-  system.start();
+  return cfg;
+}
+
+trace::DemandCurve epoch_curve() {
   trace::DemandCurve curve;
   curve.interval_s = 1.0;
-  curve.qps.assign(static_cast<std::size_t>(duration_s), 6000.0);
+  curve.qps.assign(20, 6000.0);
+  return curve;
+}
+
+trace::ArrivalConfig epoch_arrivals() {
   trace::ArrivalConfig acfg;
   acfg.seed = 11;
-  trace::ArrivalStream stream(curve, acfg);
-  std::function<void()> pump = [&]() {
-    system.submit();
-    const double next = stream.next();
-    if (next >= 0.0) sim.schedule_at(next, pump);
-  };
-  const double first = stream.next();
-  if (first >= 0.0) sim.schedule_at(first, pump);
-  sim.run_until(duration_s + 2.0);
-  system.finish(duration_s + 2.0);
+  return acfg;
+}
 
-  EpochOutcome out;
-  const auto& m = system.metrics();
-  out.arrivals = m.arrivals();
-  out.completions = m.completions();
-  out.drops = m.drops();
-  out.shed = m.shed();
-  out.violations = m.violations();
-  out.mean_latency_s = m.mean_latency_s();
-  out.wall_s = steady_elapsed_s(t0, steady_now_ns());
+/// One 20 s / 6000 qps epoch on a 96-worker cluster (the BM_ServingE2EEpoch
+/// shape), with the obs wiring routed into `reg`. Constructing it builds
+/// and starts the system; the simulation then advances in caller-chosen
+/// steps, so two epochs can be interleaved slice by slice.
+struct Epoch {
+  static constexpr double kEndS = 22.0;  // 20 s of arrivals + 2 s drain
+
+  Epoch(const pipeline::PipelineGraph& graph,
+        const serving::ProfileTable& profiles, bool tracing,
+        obs::Registry* reg)
+      : cfg(epoch_config(tracing, reg)),
+        strategy(cfg.allocator, &graph, profiles),
+        system(&sim, &graph, profiles, &strategy, cfg),
+        stream(curve, epoch_arrivals()) {
+    system.start();
+    pump = [this]() {
+      system.submit();
+      const double next = stream.next();
+      if (next >= 0.0) sim.schedule_at(next, pump);
+    };
+    const double first = stream.next();
+    if (first >= 0.0) sim.schedule_at(first, pump);
+  }
+  Epoch(const Epoch&) = delete;  // pump captures this
+  Epoch& operator=(const Epoch&) = delete;
+
+  void finish() { system.finish(kEndS); }
+
+  EpochOutcome outcome() const {
+    EpochOutcome out;
+    const auto& m = system.metrics();
+    out.arrivals = m.arrivals();
+    out.completions = m.completions();
+    out.drops = m.drops();
+    out.shed = m.shed();
+    out.violations = m.violations();
+    out.mean_latency_s = m.mean_latency_s();
+    return out;
+  }
+
+  sim::Simulation sim;
+  serving::SystemConfig cfg;
+  serving::MilpAllocator strategy;
+  serving::ServingSystem system;
+  const trace::DemandCurve curve = epoch_curve();  // stream refers to it
+  trace::ArrivalStream stream;
+  std::function<void()> pump;
+};
+
+/// Wall seconds `fn` takes.
+template <typename Fn>
+double timed_s(Fn&& fn) {
+  const std::uint64_t t0 = steady_now_ns();
+  fn();
+  return steady_elapsed_s(t0, steady_now_ns());
+}
+
+/// One whole epoch, run straight through; wall_s covers build to finish.
+EpochOutcome run_epoch(const pipeline::PipelineGraph& graph,
+                       const serving::ProfileTable& profiles, bool tracing,
+                       obs::Registry* reg) {
+  std::unique_ptr<Epoch> epoch;
+  const double wall_s = timed_s([&]() {
+    epoch = std::make_unique<Epoch>(graph, profiles, tracing, reg);
+    epoch->sim.run_until(Epoch::kEndS);
+    epoch->finish();
+  });
+  EpochOutcome out = epoch->outcome();
+  out.wall_s = wall_s;
   return out;
 }
 
@@ -219,26 +270,46 @@ void BM_ObsOverheadGate(benchmark::State& state) {
   bool identical = true;
   std::uint64_t arrivals = 0;
   bool on_first = false;
+  // Runs one step of each arm back-to-back, alternating which arm goes
+  // first: the second step of a pair sees whatever the first left in the
+  // caches and whatever load ramp the host is on, so a fixed order would
+  // bias the ratio. Alternating cancels the bias instead of attributing it
+  // to tracing.
+  const auto paired = [&](auto&& off_step, auto&& on_step) {
+    if (on_first) {
+      on_wall += timed_s(on_step);
+      off_wall += timed_s(off_step);
+    } else {
+      off_wall += timed_s(off_step);
+      on_wall += timed_s(on_step);
+    }
+    on_first = !on_first;
+  };
   for (auto _ : state) {
     obs::Registry off_reg;
     obs::Registry on_reg;
-    // Alternate which arm runs first: the second epoch of a pair sees a
-    // warmer allocator and whatever load ramp the host is on, so a fixed
-    // order biases the ratio. Alternating cancels the bias across
-    // iterations instead of attributing it to tracing.
-    EpochOutcome off, on;
-    if (on_first) {
-      on = run_epoch(graph, profiles, true, &on_reg);
-      off = run_epoch(graph, profiles, false, &off_reg);
-    } else {
-      off = run_epoch(graph, profiles, false, &off_reg);
-      on = run_epoch(graph, profiles, true, &on_reg);
+    std::unique_ptr<Epoch> off, on;
+    paired(
+        [&]() {
+          off = std::make_unique<Epoch>(graph, profiles, false, &off_reg);
+        },
+        [&]() {
+          on = std::make_unique<Epoch>(graph, profiles, true, &on_reg);
+        });
+    // The two epochs advance in 1 s simulated slices (~7 ms of wall each),
+    // paired slice by slice: the host's speed shifts over tens of
+    // milliseconds to seconds on a shared VM, and pairing whole ~150 ms
+    // epochs let one shift land on one arm only.
+    for (int k = 1; k <= static_cast<int>(Epoch::kEndS); ++k) {
+      const double t = static_cast<double>(k);
+      paired([&]() { off->sim.run_until(t); },
+             [&]() { on->sim.run_until(t); });
     }
-    on_first = !on_first;
-    off_wall += off.wall_s;
-    on_wall += on.wall_s;
-    identical = identical && on == off;
-    arrivals += off.arrivals + on.arrivals;
+    paired([&]() { off->finish(); }, [&]() { on->finish(); });
+    const EpochOutcome off_out = off->outcome();
+    const EpochOutcome on_out = on->outcome();
+    identical = identical && on_out == off_out;
+    arrivals += off_out.arrivals + on_out.arrivals;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(arrivals));
   state.counters["overhead_frac"] =
@@ -246,8 +317,9 @@ void BM_ObsOverheadGate(benchmark::State& state) {
   state.counters["bit_identical"] = identical ? 1.0 : 0.0;
 }
 // The per-benchmark MinTime overrides --benchmark_min_time, so even the
-// CI --quick run averages overhead_frac over ~a dozen off/on pairs: a
-// single ~250 ms pair has a host-noise floor above the 3% gate bound.
+// CI --quick run reads overhead_frac from ~a dozen epoch pairs (~290
+// slice pairs): a single ~250 ms pair has a host-noise floor above the 3%
+// gate bound.
 BENCHMARK(BM_ObsOverheadGate)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond)
