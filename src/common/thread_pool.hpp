@@ -1,12 +1,12 @@
-// Fixed-size thread pool used to parallelize experiment sweeps (e.g. the SLO
-// sensitivity sweep runs one full simulation per SLO value on its own core)
-// and, since the data-plane overhaul, the opt-in parallel simulation mode
-// (sim::ParallelSimulation drives its per-shard sequential simulators over
-// this pool in conservative lockstep windows).
+// Fixed-size thread pool used to parallelize independent jobs: experiment
+// sweeps (e.g. the SLO sensitivity sweep runs one full simulation per SLO
+// value on its own core) and the MILP allocator's split solves. The
+// parallel simulation mode does not use it: sim::ParallelSimulation keeps
+// its own persistent shard team (sim/parallel.hpp).
 //
 // Each individual simulator remains single-threaded and deterministic;
-// parallelism lives between experiments or between shards, which keeps
-// results bit-reproducible while still saturating the machine.
+// parallelism lives between experiments, which keeps results
+// bit-reproducible while still saturating the machine.
 #pragma once
 
 #include <condition_variable>

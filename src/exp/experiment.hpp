@@ -67,7 +67,10 @@ struct ExperimentConfig {
   /// hosts at least one worker per task) remains. Deterministic for a fixed
   /// shard count regardless of sim_threads (differential-tested).
   bool sim_coordinated = false;
-  /// Worker threads for parallel mode (0 = min(shards, hw concurrency)).
+  /// Threads simulating shards in parallel mode, the calling thread
+  /// included (0 = min(shards, hw concurrency); capped at the shard count).
+  /// Shard i always runs on thread i mod sim_threads; 1 runs every shard on
+  /// the calling thread.
   std::size_t sim_threads = 0;
   /// Weighted shard splits (parallel modes): partition arrivals across
   /// shards by per-shard worker share via a deterministic weighted
