@@ -107,11 +107,10 @@ class TimeSeries {
   double mean() const;
   double max() const;
 
-  /// Pointwise combination with another time-ordered series on a shared
-  /// window grid (parallel-shard reduction): points with matching
-  /// timestamps combine — sum when `sum`, else across-series mean —
-  /// and unmatched points pass through unchanged.
-  void combine(const TimeSeries& other, bool sum);
+  /// Pointwise sum with another time-ordered series on a shared window grid
+  /// (parallel-shard reduction): values at matching timestamps add, and
+  /// unmatched points pass through unchanged.
+  void combine(const TimeSeries& other);
 
  private:
   std::vector<Point> points_;

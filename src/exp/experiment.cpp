@@ -19,37 +19,26 @@
 
 namespace loki::exp {
 
-void register_builtin_strategies() {
-  auto& registry = serving::StrategyRegistry::global();
+namespace {
+
+template <typename Strategy>
+void add_builtin(const std::string& name) {
   // add() is a no-op when the key exists, so repeat calls are harmless.
-  registry.add("loki-milp",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<serving::MilpAllocator>(cfg, graph,
-                                                                 profiles);
-               });
-  registry.add("greedy",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<serving::GreedyAllocator>(cfg, graph,
-                                                                   profiles);
-               });
-  registry.add("inferline",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<baselines::InferLineStrategy>(
-                     cfg, graph, profiles);
-               });
-  registry.add("proteus",
-               [](const serving::AllocatorConfig& cfg,
-                  const pipeline::PipelineGraph* graph,
-                  const serving::ProfileTable& profiles) {
-                 return std::make_unique<baselines::ProteusStrategy>(
-                     cfg, graph, profiles);
-               });
+  serving::StrategyRegistry::global().add(
+      name, [](const serving::AllocatorConfig& cfg,
+               const pipeline::PipelineGraph* graph,
+               const serving::ProfileTable& profiles) {
+        return std::make_unique<Strategy>(cfg, graph, profiles);
+      });
+}
+
+}  // namespace
+
+void register_builtin_strategies() {
+  add_builtin<serving::MilpAllocator>("loki-milp");
+  add_builtin<serving::GreedyAllocator>("greedy");
+  add_builtin<baselines::InferLineStrategy>("inferline");
+  add_builtin<baselines::ProteusStrategy>("proteus");
 }
 
 std::unique_ptr<serving::AllocationStrategy> make_strategy(
@@ -92,14 +81,11 @@ std::size_t WeightedInterleave::next() {
 namespace {
 
 /// Per-shard worker counts: floor(cluster / K) plus one for the first
-/// cluster % K shards — the same split both parallel modes already used.
+/// cluster % K shards.
 std::vector<int> shard_shares(int cluster, std::size_t shards) {
-  std::vector<int> share(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    share[s] = cluster / static_cast<int>(shards) +
-               (static_cast<int>(s) < cluster % static_cast<int>(shards) ? 1
-                                                                         : 0);
-  }
+  const int k = static_cast<int>(shards);
+  std::vector<int> share(shards, cluster / k);
+  for (int s = 0; s < cluster % k; ++s) ++share[static_cast<std::size_t>(s)];
   return share;
 }
 
@@ -176,23 +162,39 @@ struct FallbackRungs {
   }
 };
 
+/// The serving-system config of one simulated system (the whole cluster, or
+/// one shard's slice of it): cfg.system_cfg with this system's cluster size,
+/// seed and fault plan, plus the run's registry, trace options, detector,
+/// SLO tiers and fallback chain. validate() rejects system_cfg values this
+/// overwrites.
+serving::SystemConfig system_config(const ExperimentConfig& cfg,
+                                    obs::Registry* registry, int cluster,
+                                    std::uint64_t seed,
+                                    fault::FaultPlan fault_plan) {
+  serving::SystemConfig scfg = cfg.system_cfg;
+  scfg.allocator.cluster_size = cluster;
+  scfg.seed = seed;
+  scfg.registry = registry;
+  scfg.trace = cfg.obs_trace;
+  scfg.fault_plan = std::move(fault_plan);
+  scfg.detector = cfg.detector;
+  scfg.tiers = cfg.tiers;
+  scfg.fallback = cfg.fallback;
+  return scfg;
+}
+
+using Systems = std::vector<std::unique_ptr<serving::ServingSystem>>;
+
 /// Streams the global arrival sequence into the shard systems one window
 /// at a time. At arm() and at every window barrier it deals the arrivals
-/// with t <= barrier + window_s (the next barrier) to the shards:
-/// round-robin by global arrival index (the bit-reproducible reference), or
-/// share-weighted interleave under sim_weighted_split / sim_reweight. The
-/// bound is inclusive like Simulation::run_until, so an arrival exactly on
-/// a barrier fires inside the window that barrier closes — before any
-/// replan the barrier triggers. Each shard's chained pump walks its reused
-/// window buffer, so the event heap holds one arrival per shard and feed
-/// memory is O(arrivals per window), not O(trace).
-///
-/// Under sim_reweight the weights are re-derived at every barrier from each
-/// shard's surviving worker count (share minus crashed workers), so a
-/// mid-run crash shifts the following windows' load onto the survivors.
-/// The interleave persists across windows and is rebuilt only when the
-/// weights change, so with constant weights the assignment matches the
-/// plain weighted split exactly (differential-tested).
+/// with t <= barrier + window_s (the next barrier) through a
+/// WeightedInterleave over each shard's surviving workers, so a shard that
+/// loses workers sheds its proportional load to its peers from the next
+/// window on. The interleave is rebuilt only when the weights change; with
+/// equal shares and no crash it is exactly round-robin. The bound is
+/// inclusive like Simulation::run_until, so an arrival on a barrier fires
+/// before any replan that barrier triggers. Each shard's chained pump walks
+/// its reused window buffer, so feed memory is O(arrivals per window).
 ///
 /// Construct before the shard systems (it registers the
 /// exp.shard<k>.arrivals counters first); arm() after they have started.
@@ -205,20 +207,16 @@ class ShardArrivalFeeder {
         psim_(psim),
         share_(std::move(share)),
         window_s_(cfg.sim_window_s),
-        reweight_(cfg.sim_reweight),
-        feeds_(share_.size()) {
+        feeds_(share_.size()),
+        weights_(share_.begin(), share_.end()),
+        interleave_(weights_) {
     for (std::size_t s = 0; s < feeds_.size(); ++s) {
       feeds_[s].arrivals =
           registry->counter("exp.shard" + std::to_string(s) + ".arrivals");
     }
-    if (cfg.sim_weighted_split || reweight_) {
-      weights_.assign(share_.begin(), share_.end());
-      interleave_ = std::make_unique<WeightedInterleave>(weights_);
-    }
   }
 
-  void arm(
-      const std::vector<std::unique_ptr<serving::ServingSystem>>& systems) {
+  void arm(const Systems& systems) {
     for (std::size_t s = 0; s < feeds_.size(); ++s) {
       ShardFeed& f = feeds_[s];
       serving::ServingSystem* sys = systems[s].get();
@@ -234,10 +232,10 @@ class ShardArrivalFeeder {
     on_barrier(psim_->now());
   }
 
-  /// Barrier hook: deals the next window (after refreshing the weights
-  /// from the current crash state under sim_reweight).
+  /// Barrier hook: refreshes the weights from the current crash state, then
+  /// deals the next window.
   void on_barrier(double now) {
-    if (reweight_) refresh_weights();
+    refresh_weights();
     for (ShardFeed& f : feeds_) {
       // The last deal's bound was this barrier, and every arrival lies
       // within the run horizon, so each pump has fired its whole buffer.
@@ -249,11 +247,7 @@ class ShardArrivalFeeder {
     while (!source_.done() && source_.head() <= bound) {
       const double t = source_.head();
       const int tier = source_.pop();
-      const std::size_t s = interleave_ != nullptr
-                                ? interleave_->next()
-                                : static_cast<std::size_t>(dealt_++ %
-                                                           feeds_.size());
-      feeds_[s].window.push_back(Arrival{t, tier});
+      feeds_[interleave_.next()].window.push_back(Arrival{t, tier});
     }
     for (std::size_t s = 0; s < feeds_.size(); ++s) {
       ShardFeed& f = feeds_[s];
@@ -263,6 +257,14 @@ class ShardArrivalFeeder {
                                     [&pump = f.pump]() { pump(); });
       }
     }
+  }
+
+  /// Fraction of the arrivals the current weights deal to shard `s`
+  /// (share / cluster until a crash).
+  double fraction(std::size_t s) const {
+    double total = 0.0;
+    for (double w : weights_) total += w;
+    return weights_[s] / total;
   }
 
  private:
@@ -295,7 +297,7 @@ class ShardArrivalFeeder {
     }
     if (w != weights_) {
       weights_ = std::move(w);
-      interleave_ = std::make_unique<WeightedInterleave>(weights_);
+      interleave_ = WeightedInterleave(weights_);
     }
   }
 
@@ -303,11 +305,9 @@ class ShardArrivalFeeder {
   sim::ParallelSimulation* psim_;
   std::vector<int> share_;
   double window_s_;
-  bool reweight_;
   std::vector<ShardFeed> feeds_;  // never resized: pumps hold references
-  std::uint64_t dealt_ = 0;       // round-robin: global arrival index
   std::vector<double> weights_;   // unnormalized, for change detection
-  std::unique_ptr<WeightedInterleave> interleave_;
+  WeightedInterleave interleave_;
 };
 
 ExperimentResult result_from_metrics(const std::string& name,
@@ -329,369 +329,317 @@ ExperimentResult result_from_metrics(const std::string& name,
   return out;
 }
 
-/// Finishes every shard system at t_end and folds their metrics into one,
-/// the latency store pre-sized to the summed sample count.
-serving::Metrics finish_and_merge(
-    std::vector<std::unique_ptr<serving::ServingSystem>>& systems,
-    double t_end, double metrics_window_s) {
-  std::size_t samples = 0;
-  for (auto& system : systems) {
-    system->finish(t_end);
-    samples += system->metrics().latency().count();
-  }
-  serving::Metrics merged(metrics_window_s);
-  merged.reserve_latency(samples);
-  for (const auto& system : systems) merged.merge(system->metrics());
-  return merged;
-}
-
-/// Parallel simulation mode: K independent (cluster slice, arrival slice)
-/// shards advanced in conservative lockstep windows, metrics merged.
-ExperimentResult run_experiment_sharded(const pipeline::PipelineGraph& graph,
-                                        const trace::DemandCurve& curve,
-                                        const ExperimentConfig& cfg,
-                                        const serving::ProfileTable& profiles,
-                                        std::size_t shards,
-                                        obs::Registry* registry) {
-  // The feeder deals the *same* arrival sequence the sequential reference
-  // consumes (round-robin, or share-weighted with sim_weighted_split), so
-  // the total arrival count matches the sequential run exactly.
-  const int cluster = cfg.system_cfg.allocator.cluster_size;
-  const std::vector<int> share = shard_shares(cluster, shards);
-
-  sim::ParallelSimulation::Config pcfg;
-  pcfg.shards = shards;
-  pcfg.window_s = cfg.sim_window_s;
-  pcfg.threads = cfg.sim_threads;
-  sim::ParallelSimulation psim(pcfg);
-
-  ShardArrivalFeeder feeder(curve, cfg, share, &psim, registry);
-
-  // The global-id fault plan splits along the same contiguous worker-share
-  // ranges as the cluster itself; each shard arms only its own slice
-  // (cluster-wide network events are broadcast to every shard).
-  std::vector<fault::FaultPlan> shard_faults;
-  if (!cfg.fault_plan.empty()) {
-    shard_faults = fault::split_by_shares(cfg.fault_plan, share);
-  }
-
-  // Each shard gets a proportional slice of the cluster (remainder to the
-  // first shards) and its own strategy + serving system + RNG streams
-  // (decorrelated seeds: shards model disjoint replica groups). Fallback
-  // rung strategies are per shard too (sized for its slice) and must
-  // outlive the systems holding the pointers.
-  std::vector<FallbackRungs> rungs(shards);
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
-  std::vector<std::unique_ptr<serving::ServingSystem>> systems;
-  for (std::size_t s = 0; s < shards; ++s) {
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.allocator.cluster_size = share[s];
-    scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
-    scfg.registry = registry;
-    scfg.trace = cfg.obs_trace;
-    if (!shard_faults.empty()) scfg.fault_plan = shard_faults[s];
-    scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;
-    scfg.fallback = cfg.fallback;
-    rungs[s].fill(scfg.fallback, scfg.allocator, &graph, profiles);
-    strategies.push_back(
-        make_strategy(cfg.system, scfg.allocator, &graph, profiles));
-    systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, strategies.back().get(), scfg));
-  }
-  // start() performs the initial allocation (solver work): sequential, so
-  // strategy construction stays off the worker threads.
-  for (auto& system : systems) system->start();
-
-  feeder.arm(systems);
-  psim.set_barrier_callback(
-      [&feeder](sim::Time now) { feeder.on_barrier(now); });
-
-  const double t_end = run_horizon(curve, cfg);
-  psim.run_until(t_end);
-
-  serving::Metrics merged =
-      finish_and_merge(systems, t_end, cfg.system_cfg.metrics_window_s);
-  double solve_s = 0.0;
-  int allocations = 0;
-  for (const auto& system : systems) {
-    solve_s += system->total_solve_time_s();
-    allocations += system->allocations_performed();
-  }
-  return result_from_metrics(strategies.front()->name(), std::move(merged),
-                             solve_s, allocations);
-}
-
-/// Coordinated parallel mode: ONE strategy, solving once per control epoch
-/// at a window barrier from globally merged shard observations (summed
-/// demand, summed per-task arrival rates, averaged multiplicative factors).
-/// The arrival stream is round-robined, so every shard serves the same 1/K
-/// demand slice — the representative-slice plan (demand/K over one shard's
-/// workers) is installed on every shard. An integral split of one
-/// full-cluster plan was measured strictly worse here: equal-demand slices
-/// need equal capacity, and dealing a full-cluster plan's replicas across
-/// shards necessarily starves one of them (e.g. 3 detection replicas over 2
-/// shards), which turns into forward-time drops on the short side.
-ExperimentResult run_experiment_coordinated(
-    const pipeline::PipelineGraph& graph, const trace::DemandCurve& curve,
-    const ExperimentConfig& cfg, const serving::ProfileTable& profiles,
-    std::size_t shards, obs::Registry* registry) {
-  const int cluster = cfg.system_cfg.allocator.cluster_size;
-  const std::vector<int> share = shard_shares(cluster, shards);
-
-  sim::ParallelSimulation::Config pcfg;
-  pcfg.shards = shards;
-  pcfg.window_s = cfg.sim_window_s;
-  pcfg.threads = cfg.sim_threads;
-  sim::ParallelSimulation psim(pcfg);
-
-  ShardArrivalFeeder feeder(curve, cfg, share, &psim, registry);
-
-  // Fault mode: shard systems arm their slice of the plan and run detection
-  // locally (they are external systems, so they never replan on their own);
-  // the coordinator observes fault_replan_pending() at barriers and replans
-  // over the survivors. Plans must then be per *shard*, not per distinct
-  // share: two shards with equal shares can lose different workers.
-  const bool fault_mode = !cfg.fault_plan.empty() || cfg.detector.enabled;
-  std::vector<fault::FaultPlan> shard_faults;
-  if (!cfg.fault_plan.empty()) {
-    shard_faults = fault::split_by_shares(cfg.fault_plan, share);
-  }
-
-  // One strategy per *distinct worker share* — at most two exist (floor and
-  // ceil of cluster / K), so a control epoch costs one or two solves for the
-  // whole cluster: still K× fewer than plain sharded mode, where every shard
-  // runs its own allocator. Round-robin split: every shard serves the same
-  // 1/K demand slice, so the representative floor-share plan is installed
-  // everywhere (a bigger shard's extra worker idles — the skew gap).
-  // Weighted split: a shard's arrival slice is proportional to its share,
-  // so each distinct share gets a plan sized for exactly the demand it
-  // receives (share / cluster of the total). Shard systems carry no
-  // strategy of their own.
-  std::vector<int> plan_shares;    // distinct shares, one plan each
-  std::vector<double> plan_fracs;  // demand fraction that share serves
-  if (fault_mode) {
-    // One plan per shard: each tracks its own survivor set. The demand
-    // fraction follows the arrival split (share-weighted or 1/K).
-    for (std::size_t s = 0; s < shards; ++s) {
-      plan_shares.push_back(share[s]);
-      plan_fracs.push_back(
-          cfg.sim_weighted_split || cfg.sim_reweight
-              ? static_cast<double>(share[s]) / static_cast<double>(cluster)
-              : 1.0 / static_cast<double>(shards));
-    }
-  } else if (cfg.sim_weighted_split) {
-    for (int s : share) {
-      if (std::find(plan_shares.begin(), plan_shares.end(), s) ==
-          plan_shares.end()) {
-        plan_shares.push_back(s);
-        plan_fracs.push_back(static_cast<double>(s) /
-                             static_cast<double>(cluster));
+/// Coordinated mode's control plane: ONE planner for the whole cluster,
+/// solving at window barriers from merged shard observations (summed demand
+/// estimate and per-task arrival rates, averaged multiplicative factors).
+/// It plans once per distinct worker share (at most two: the floor and ceil
+/// of cluster / K) for the demand slice the feeder deals that share, and
+/// installs the plan on every shard of that share. Splitting one
+/// full-cluster plan was measured strictly worse: dealing its replicas
+/// across equal-demand shards starves one (e.g. 3 replicas over 2 shards).
+/// Fault mode (a fault plan or an enabled detector) plans per shard, over
+/// the survivors it has detected: equal shares can lose different workers.
+/// Shard systems are external: they detect locally but never replan. The
+/// coordinator owns the fallback chain around its plan() calls.
+///
+/// Construct before the shard systems (its counters register first);
+/// start() once they exist.
+class BarrierCoordinator {
+ public:
+  BarrierCoordinator(const pipeline::PipelineGraph& graph,
+                     const ExperimentConfig& cfg,
+                     const serving::ProfileTable& profiles,
+                     std::vector<int> share, const Systems& systems,
+                     const ShardArrivalFeeder& feeder, obs::Registry* registry)
+      : graph_(graph),
+        cfg_(cfg),
+        share_(std::move(share)),
+        systems_(systems),
+        feeder_(feeder),
+        fault_mode_(!cfg.fault_plan.empty() || cfg.detector.enabled) {
+    for (std::size_t s = 0; s < share_.size(); ++s) {
+      std::size_t p = 0;
+      while (p < plan_shard_.size() &&
+             (fault_mode_ || share_[plan_shard_[p]] != share_[s])) {
+        ++p;
+      }
+      shard_plan_.push_back(p);
+      if (p < plan_shard_.size()) continue;
+      plan_shard_.push_back(s);
+      serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
+      alloc.cluster_size = share_[s];
+      strategies_.push_back(make_strategy(cfg.system, alloc, &graph, profiles));
+      if (cfg.fallback.enabled) {
+        serving::FallbackConfig fb = cfg.fallback;
+        rungs_.emplace_back().fill(fb, alloc, &graph, profiles);
+        chains_.push_back(std::make_unique<serving::PlanFallbackChain>(
+            strategies_.back().get(), fb, &graph, alloc.cluster_size));
       }
     }
-  } else {
-    plan_shares.push_back(cluster / static_cast<int>(shards));
-    plan_fracs.push_back(1.0 / static_cast<double>(shards));
-  }
-  // The coordinator owns the fallback chain here (one per planned share):
-  // shard systems carry no strategy, so chaining happens around the
-  // barrier-time plan() calls below rather than inside the systems.
-  std::vector<FallbackRungs> rungs(plan_shares.size());
-  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
-  std::vector<std::unique_ptr<serving::PlanFallbackChain>> chains;
-  for (std::size_t pi = 0; pi < plan_shares.size(); ++pi) {
-    serving::AllocatorConfig alloc = cfg.system_cfg.allocator;
-    alloc.cluster_size = plan_shares[pi];
-    strategies.push_back(make_strategy(cfg.system, alloc, &graph, profiles));
     if (cfg.fallback.enabled) {
-      serving::FallbackConfig fb = cfg.fallback;
-      rungs[pi].fill(fb, alloc, &graph, profiles);
-      chains.push_back(std::make_unique<serving::PlanFallbackChain>(
-          strategies.back().get(), fb, &graph, plan_shares[pi]));
+      c_plan_fallbacks_ = registry->counter("exp.coord.plan_fallbacks");
+      c_plan_rejects_ = registry->counter("exp.coord.plan_rejects");
+      c_plan_retained_ = registry->counter("exp.coord.plan_retained");
+    }
+    plans_.resize(plan_shard_.size());
+  }
+
+  /// Starts the shards and installs the initial plans, before any arrival.
+  void start() {
+    for (auto& system : systems_) system->start_external();
+    replan(0.0, /*force=*/true);
+    next_replan_ = cfg_.system_cfg.rm_period_s;
+  }
+
+  /// Barrier hook, after the feeder's deal. Replans every rm_period_s, on a
+  /// merged-demand surge or collapse (the in-process Resource Manager's
+  /// triggers), or at once when a shard's detected-dead set has changed.
+  void on_barrier(double now) {
+    const bool fault_due =
+        fault_mode_ && std::any_of(systems_.begin(), systems_.end(),
+                                   [](const auto& system) {
+                                     return system->fault_replan_pending();
+                                   });
+    bool due = fault_due || now + 1e-9 >= next_replan_;
+    if (!due && have_plan_) {
+      double est = 0.0;
+      for (auto& system : systems_) est += system->demand_estimate_now();
+      due = est > last_demand_ * 1.25 + 1.0 || est < last_demand_ * 0.5 - 1.0;
+    }
+    if (!due) return;
+    replan(now, /*force=*/fault_due);
+    while (next_replan_ <= now + 1e-9) {
+      next_replan_ += cfg_.system_cfg.rm_period_s;
     }
   }
-  obs::Counter c_plan_fallbacks, c_plan_rejects, c_plan_retained;
-  if (cfg.fallback.enabled) {
-    c_plan_fallbacks = registry->counter("exp.coord.plan_fallbacks");
-    c_plan_rejects = registry->counter("exp.coord.plan_rejects");
-    c_plan_retained = registry->counter("exp.coord.plan_retained");
-  }
-  // Shard -> plan index (0 everywhere in round-robin mode).
-  std::vector<std::size_t> shard_plan(shards, 0);
-  if (fault_mode) {
-    for (std::size_t s = 0; s < shards; ++s) shard_plan[s] = s;
-  } else if (cfg.sim_weighted_split) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      shard_plan[s] = static_cast<std::size_t>(
-          std::find(plan_shares.begin(), plan_shares.end(), share[s]) -
-          plan_shares.begin());
-    }
-  }
 
-  std::vector<std::unique_ptr<serving::ServingSystem>> systems;
-  for (std::size_t s = 0; s < shards; ++s) {
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.allocator.cluster_size = share[s];
-    scfg.seed = cfg.system_cfg.seed + 1000003 * (s + 1);
-    scfg.registry = registry;
-    scfg.trace = cfg.obs_trace;
-    if (!shard_faults.empty()) scfg.fault_plan = shard_faults[s];
-    scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;  // data-plane tiering runs inside each shard
-    systems.push_back(std::make_unique<serving::ServingSystem>(
-        &psim.shard(s), &graph, profiles, /*strategy=*/nullptr, scfg));
-  }
-  for (auto& system : systems) system->start_external();
+  double solve_s() const { return solve_s_; }
+  int allocations() const { return allocations_; }
 
-  // Coordinator state: replans every rm_period_s (at the first barrier at
-  // or past the deadline) or when the merged demand estimate surges or
-  // collapses — the same triggers the in-process Resource Manager uses.
-  double solve_s = 0.0;
-  int allocations = 0;
-  double last_demand = 0.0;
-  bool have_plan = false;
-  double next_replan = 0.0;
-  std::vector<serving::AllocationPlan> plans(plan_shares.size());
-
-  auto replan = [&](double now, bool force) {
+ private:
+  void replan(double now, bool force) {
     double demand = 0.0;
-    for (auto& system : systems) demand += system->demand_estimate_now();
-    if (have_plan && !force) {
+    for (auto& system : systems_) demand += system->demand_estimate_now();
+    if (have_plan_ && !force) {
       double min_served = 1.0;
-      for (const auto& p : plans) {
+      for (const auto& p : plans_) {
         min_served = std::min(min_served, p.served_fraction);
       }
-      const double rel = std::abs(demand - last_demand) /
-                         std::max(last_demand, 10.0);
-      if (rel < cfg.system_cfg.realloc_threshold && min_served >= 1.0) {
+      const double rel = std::abs(demand - last_demand_) /
+                         std::max(last_demand_, 10.0);
+      if (rel < cfg_.system_cfg.realloc_threshold && min_served >= 1.0) {
         return;
       }
     }
+    const std::size_t shards = systems_.size();
     const double inv_shards = 1.0 / static_cast<double>(shards);
     // Merge multiplicative-factor estimates: shards observe the same
     // underlying pipeline, so the mean is the natural pooled estimate.
-    pipeline::MultFactorTable mult = systems[0]->mult_estimates();
+    pipeline::MultFactorTable mult = systems_[0]->mult_estimates();
     for (std::size_t s = 1; s < shards; ++s) {
-      const auto& m = systems[s]->mult_estimates();
+      const auto& m = systems_[s]->mult_estimates();
       for (std::size_t t = 0; t < mult.size(); ++t) {
-        for (std::size_t k = 0; k < mult[t].size(); ++k) {
-          mult[t][k] += m[t][k];
-        }
+        for (std::size_t k = 0; k < mult[t].size(); ++k) mult[t][k] += m[t][k];
       }
     }
     for (auto& row : mult) {
       for (auto& v : row) v *= inv_shards;
     }
     // Drain each shard's per-task arrival-rate window exactly once per
-    // epoch (draining resets it), then build every share's request from the
+    // epoch (draining resets it), then build every plan's request from the
     // same observations.
     std::vector<std::vector<double>> sys_rates;
     sys_rates.reserve(shards);
-    for (auto& system : systems) {
+    for (auto& system : systems_) {
       sys_rates.push_back(system->drain_task_arrivals_now());
     }
-    // Demand fractions: static by default; under reweighted fault mode the
-    // arrival split follows the survivors, so the planned slices must too.
-    std::vector<double> fracs = plan_fracs;
-    if (fault_mode && cfg.sim_reweight) {
-      double surviving_total = 0.0;
-      std::vector<double> surviving(shards, 0.0);
-      for (std::size_t s = 0; s < shards; ++s) {
-        surviving[s] = static_cast<double>(
-            std::max(0, share[s] - systems[s]->crashed_workers()));
-        surviving_total += surviving[s];
-      }
-      if (surviving_total > 0.0) {
-        for (std::size_t s = 0; s < shards; ++s) {
-          fracs[s] = surviving[s] / surviving_total;
-        }
-      }
-    }
-    for (std::size_t pi = 0; pi < plan_shares.size(); ++pi) {
+    for (std::size_t p = 0; p < plans_.size(); ++p) {
+      const std::size_t s = plan_shard_[p];
+      const double frac = feeder_.fraction(s);
       serving::PlanRequest req;
-      req.demand_qps = demand * fracs[pi];
+      req.demand_qps = demand * frac;
       req.mult = mult;
       req.task_arrivals_qps.assign(
-          static_cast<std::size_t>(graph.num_tasks()), 0.0);
+          static_cast<std::size_t>(graph_.num_tasks()), 0.0);
       for (const auto& rates : sys_rates) {
         for (std::size_t t = 0; t < rates.size(); ++t) {
-          req.task_arrivals_qps[t] += rates[t] * fracs[pi];
+          req.task_arrivals_qps[t] += rates[t] * frac;
         }
       }
       req.sim_time_s = now;
-      req.epoch = allocations;
-      req.previous_plan = have_plan ? &plans[pi] : nullptr;
-      if (fault_mode) {
-        // Plan over the survivors the controller has *detected* (plan index
-        // == shard index in fault mode); the allocator clamps internally so
-        // it never plans below one worker per task.
+      req.epoch = allocations_;
+      req.previous_plan = have_plan_ ? &plans_[p] : nullptr;
+      if (fault_mode_) {
+        // Plan over the survivors the controller has *detected*; the
+        // allocator clamps internally so it never plans below one worker
+        // per task.
         req.available_workers =
-            share[pi] - systems[pi]->detector_dead_workers();
+            share_[s] - systems_[s]->detector_dead_workers();
       }
       serving::PlanResult result;
-      if (!chains.empty()) {
-        serving::FallbackOutcome fo = chains[pi]->plan(req);
+      if (!chains_.empty()) {
+        serving::FallbackOutcome fo = chains_[p]->plan(req);
         result = std::move(fo.result);
-        c_plan_fallbacks.add(static_cast<std::uint64_t>(fo.fallbacks));
-        c_plan_rejects.add(static_cast<std::uint64_t>(fo.rejects));
-        if (fo.retained_previous) c_plan_retained.add(1);
+        c_plan_fallbacks_.add(static_cast<std::uint64_t>(fo.fallbacks));
+        c_plan_rejects_.add(static_cast<std::uint64_t>(fo.rejects));
+        if (fo.retained_previous) c_plan_retained_.add(1);
       } else {
-        result = strategies[pi]->plan(req);
+        result = strategies_[p]->plan(req);
       }
-      plans[pi] = std::move(result.plan);
-      solve_s += plans[pi].solve_time_s;
-      ++allocations;
+      plans_[p] = std::move(result.plan);
+      solve_s_ += plans_[p].solve_time_s;
+      ++allocations_;
     }
-    have_plan = true;
-    last_demand = demand;
+    have_plan_ = true;
+    last_demand_ = demand;
     for (std::size_t s = 0; s < shards; ++s) {
-      serving::AllocationPlan sub = plans[shard_plan[s]];
+      serving::AllocationPlan sub = plans_[shard_plan_[s]];
       sub.solve_time_s = 0.0;  // the coordinator accounts the solve once
-      systems[s]->install_plan(std::move(sub));
+      systems_[s]->install_plan(std::move(sub));
     }
-  };
+  }
 
-  replan(0.0, /*force=*/true);  // initial allocation before arrivals
-  next_replan = cfg.system_cfg.rm_period_s;
+  const pipeline::PipelineGraph& graph_;
+  const ExperimentConfig& cfg_;
+  std::vector<int> share_;
+  const Systems& systems_;
+  const ShardArrivalFeeder& feeder_;
+  bool fault_mode_;
+  std::vector<std::size_t> plan_shard_;  // plan -> the shard it is sized for
+  std::vector<std::size_t> shard_plan_;  // shard -> the plan it installs
+  std::vector<FallbackRungs> rungs_;  // outlive the chains using them
+  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies_;
+  std::vector<std::unique_ptr<serving::PlanFallbackChain>> chains_;
+  obs::Counter c_plan_fallbacks_, c_plan_rejects_, c_plan_retained_;
+  std::vector<serving::AllocationPlan> plans_;
+  double solve_s_ = 0.0;
+  int allocations_ = 0;
+  double last_demand_ = 0.0;
+  bool have_plan_ = false;
+  double next_replan_ = 0.0;
+};
 
-  psim.set_barrier_callback([&](sim::Time now) {
-    feeder.on_barrier(now);
-    // A shard whose detected-dead set changed since its plan was installed
-    // forces an immediate survivor replan (the event-driven trigger of
-    // ROADMAP item 4); otherwise the usual period/demand-surge triggers.
-    bool fault_due = false;
-    if (fault_mode) {
-      for (auto& system : systems) {
-        fault_due = fault_due || system->fault_replan_pending();
-      }
+/// Parallel simulation modes: K shards, each a contiguous slice of the
+/// cluster (remainder to the first shards) with its own serving system and
+/// decorrelated RNG streams, advanced in conservative lockstep windows and
+/// fed one arrival sequence by ShardArrivalFeeder (so the arrival total is
+/// exactly the sequential run's); metrics merge at the end. Plain sharded
+/// mode gives every shard its own strategy, sized for its slice, which plans
+/// on the shard's own clock; coordinated mode plans for all of them through
+/// one BarrierCoordinator.
+ExperimentResult run_experiment_parallel(const pipeline::PipelineGraph& graph,
+                                         const trace::DemandCurve& curve,
+                                         const ExperimentConfig& cfg,
+                                         const serving::ProfileTable& profiles,
+                                         std::size_t shards,
+                                         obs::Registry* registry) {
+  const std::vector<int> share =
+      shard_shares(cfg.system_cfg.allocator.cluster_size, shards);
+
+  sim::ParallelSimulation::Config pcfg;
+  pcfg.shards = shards;
+  pcfg.window_s = cfg.sim_window_s;
+  pcfg.threads = cfg.sim_threads;
+  sim::ParallelSimulation psim(pcfg);
+
+  ShardArrivalFeeder feeder(curve, cfg, share, &psim, registry);
+  // Plain sharded mode's per-shard strategies and fallback rungs, declared
+  // first so they outlive the systems holding their pointers.
+  std::vector<FallbackRungs> rungs(shards);
+  std::vector<std::unique_ptr<serving::AllocationStrategy>> strategies;
+  Systems systems;
+  std::unique_ptr<BarrierCoordinator> coordinator;
+  if (cfg.sim_coordinated) {
+    coordinator = std::make_unique<BarrierCoordinator>(
+        graph, cfg, profiles, share, systems, feeder, registry);
+  }
+
+  // The global-id fault plan splits along the same contiguous worker-share
+  // ranges as the cluster itself; each shard arms only its own slice
+  // (cluster-wide network events are broadcast to every shard).
+  std::vector<fault::FaultPlan> shard_faults =
+      fault::split_by_shares(cfg.fault_plan, share);
+  for (std::size_t s = 0; s < shards; ++s) {
+    serving::SystemConfig scfg =
+        system_config(cfg, registry, share[s],
+                      cfg.system_cfg.seed + 1000003 * (s + 1),
+                      std::move(shard_faults[s]));
+    serving::AllocationStrategy* strategy = nullptr;
+    if (coordinator != nullptr) {
+      scfg.fallback.enabled = false;  // the coordinator chains its plans
+    } else {
+      rungs[s].fill(scfg.fallback, scfg.allocator, &graph, profiles);
+      strategies.push_back(
+          make_strategy(cfg.system, scfg.allocator, &graph, profiles));
+      strategy = strategies.back().get();
     }
-    bool due = fault_due || now + 1e-9 >= next_replan;
-    if (!due && have_plan) {
-      double est = 0.0;
-      for (auto& system : systems) est += system->demand_estimate_now();
-      due = est > last_demand * 1.25 + 1.0 || est < last_demand * 0.5 - 1.0;
-    }
-    if (!due) return;
-    replan(now, /*force=*/fault_due);
-    while (next_replan <= now + 1e-9) next_replan += cfg.system_cfg.rm_period_s;
-  });
+    systems.push_back(std::make_unique<serving::ServingSystem>(
+        &psim.shard(s), &graph, profiles, strategy, scfg));
+  }
 
+  // The initial allocation (solver work) runs on the calling thread, before
+  // any arrival.
+  if (coordinator != nullptr) {
+    coordinator->start();
+    psim.set_barrier_callback([&](sim::Time now) {
+      feeder.on_barrier(now);
+      coordinator->on_barrier(now);
+    });
+  } else {
+    for (auto& system : systems) system->start();
+    psim.set_barrier_callback(
+        [&feeder](sim::Time now) { feeder.on_barrier(now); });
+  }
   feeder.arm(systems);
 
   const double t_end = run_horizon(curve, cfg);
   psim.run_until(t_end);
 
-  return result_from_metrics(
-      strategies.front()->name(),
-      finish_and_merge(systems, t_end, cfg.system_cfg.metrics_window_s),
-      solve_s, allocations);
+  // Finish every shard at t_end and fold their metrics into one, the
+  // latency store pre-sized to the summed sample count. The coordinator
+  // accounts each of its solves once; the plans it installs count none.
+  std::size_t samples = 0;
+  double solve_s = coordinator != nullptr ? coordinator->solve_s() : 0.0;
+  int allocations = coordinator != nullptr ? coordinator->allocations() : 0;
+  for (auto& system : systems) {
+    system->finish(t_end);
+    samples += system->metrics().latency().count();
+    if (coordinator != nullptr) continue;
+    solve_s += system->total_solve_time_s();
+    allocations += system->allocations_performed();
+  }
+  serving::Metrics merged(cfg.system_cfg.metrics_window_s);
+  merged.reserve_latency(samples);
+  for (const auto& system : systems) merged.merge(system->metrics());
+  return result_from_metrics(cfg.system, std::move(merged), solve_s,
+                             allocations);
 }
 
 }  // namespace
 
+void ExperimentConfig::validate() const {
+  LOKI_CHECK_MSG(tier_mix.empty() || replay.empty(),
+                 "tier_mix has no effect under a replay, whose rows carry "
+                 "each arrival's tier");
+  LOKI_CHECK_MSG(!sim_coordinated || sim_shards > 1,
+                 "sim_coordinated needs sim_shards > 1");
+  LOKI_CHECK_MSG(sim_threads <= 1 || sim_shards > 1,
+                 "sim_threads > 1 needs sim_shards > 1");
+  // run_experiment sets these per system from the top-level fields.
+  LOKI_CHECK_MSG(system_cfg.fault_plan.empty(),
+                 "set ExperimentConfig::fault_plan, not system_cfg's");
+  LOKI_CHECK_MSG(!system_cfg.detector.enabled,
+                 "set ExperimentConfig::detector, not system_cfg's");
+  LOKI_CHECK_MSG(!system_cfg.tiers.enabled,
+                 "set ExperimentConfig::tiers, not system_cfg's");
+  LOKI_CHECK_MSG(!system_cfg.fallback.enabled,
+                 "set ExperimentConfig::fallback, not system_cfg's");
+}
+
 ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
                                 const trace::DemandCurve& curve,
                                 const ExperimentConfig& cfg) {
+  cfg.validate();
   profile::ModelProfiler profiler(profile::default_batch_set(),
                                   /*repetitions=*/5, cfg.profiler_noise_frac,
                                   cfg.profiler_seed);
@@ -713,27 +661,19 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
   obs::Registry registry;
   ExperimentResult out;
   if (shards > 1) {
-    out = cfg.sim_coordinated
-              ? run_experiment_coordinated(graph, curve, cfg, profiles,
-                                           shards, &registry)
-              : run_experiment_sharded(graph, curve, cfg, profiles, shards,
-                                       &registry);
+    out = run_experiment_parallel(graph, curve, cfg, profiles, shards,
+                                  &registry);
   } else {
-    auto strategy = make_strategy(cfg.system, cfg.system_cfg.allocator,
-                                  &graph, profiles);
-
-    sim::Simulation sim;
-    serving::SystemConfig scfg = cfg.system_cfg;
-    scfg.registry = &registry;
-    scfg.trace = cfg.obs_trace;
-    // Sequential mode serves the whole cluster, so the global-id fault plan
-    // applies verbatim (no split needed).
-    if (!cfg.fault_plan.empty()) scfg.fault_plan = cfg.fault_plan;
-    if (cfg.detector.enabled) scfg.detector = cfg.detector;
-    scfg.tiers = cfg.tiers;
-    scfg.fallback = cfg.fallback;
+    // The sequential reference: one system serves the whole cluster, so the
+    // global-id fault plan applies verbatim.
+    serving::SystemConfig scfg =
+        system_config(cfg, &registry, cfg.system_cfg.allocator.cluster_size,
+                      cfg.system_cfg.seed, cfg.fault_plan);
+    auto strategy = make_strategy(cfg.system, scfg.allocator, &graph,
+                                  profiles);
     FallbackRungs rungs;  // outlives the system holding the rung pointers
     rungs.fill(scfg.fallback, scfg.allocator, &graph, profiles);
+    sim::Simulation sim;
     serving::ServingSystem system(&sim, &graph, profiles, strategy.get(),
                                   scfg);
     system.start();
@@ -753,7 +693,7 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
     sim.run_until(t_end);
     system.finish(t_end);
 
-    out = result_from_metrics(strategy->name(), std::move(system.metrics()),
+    out = result_from_metrics(cfg.system, std::move(system.metrics()),
                               system.total_solve_time_s(),
                               system.allocations_performed());
   }
@@ -765,9 +705,8 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
 PlanProbe probe_plan(serving::AllocationStrategy& strategy,
                      const pipeline::PipelineGraph& graph, double demand_qps) {
   // Pure planner probe: a fresh single-epoch request with no previous plan,
-  // so probes are independent of each other and of any prior probes on the
-  // same strategy (the old API threaded hidden continuity state through
-  // them).
+  // so probes are independent of each other and of prior probes on the same
+  // strategy.
   serving::PlanRequest req;
   req.demand_qps = demand_qps;
   req.mult = pipeline::default_mult_factors(graph);

@@ -38,6 +38,9 @@ std::unique_ptr<serving::AllocationStrategy> make_strategy(
 struct ExperimentConfig {
   /// Registry key of the strategy to run (serving/strategy_registry.hpp).
   std::string system = "loki-milp";
+  /// Per-system settings. run_experiment sets the fault plan, detector,
+  /// SLO tiers and fallback chain of every system from the top-level fields
+  /// below, so validate() rejects them here.
   serving::SystemConfig system_cfg;
   trace::ArrivalConfig arrivals;
   /// Extra simulated time after the last arrival to drain in-flight queries.
@@ -46,59 +49,32 @@ struct ExperimentConfig {
   double profiler_noise_frac = 0.0;
   std::uint64_t profiler_seed = 1;
   /// Opt-in parallel simulation mode: split the run across this many event
-  /// shards (1 = the sequential, bit-reproducible reference). Each shard
-  /// simulates an independent slice of the cluster serving a round-robin
-  /// slice of the same arrival sequence (total arrivals are exactly equal to
-  /// the sequential run); per-shard metrics merge at the end. Shards are
-  /// clamped so every shard keeps at least one worker per pipeline task.
-  /// See README "Data-plane architecture" for determinism/merging caveats.
+  /// shards (1 = the sequential, bit-reproducible reference), each a
+  /// contiguous slice of the cluster (clamped so every shard keeps one
+  /// worker per task). Shards are dealt the global arrival sequence in
+  /// proportion to their surviving workers (WeightedInterleave below; plain
+  /// round-robin with equal shares and no crash), so arrival totals equal
+  /// the sequential run's; per-shard metrics merge exactly at the end.
+  /// See README "Data-plane architecture".
   std::size_t sim_shards = 1;
   /// Conservative synchronization window for parallel mode (seconds).
   double sim_window_s = 0.25;
-  /// Coordinated parallel mode (requires sim_shards > 1): instead of one
-  /// independent allocator per shard (each planning its own sub-cluster),
-  /// ONE strategy plans from barrier-merged observations (summed demand
-  /// estimate, summed per-task arrival rates, averaged multiplicative
-  /// factors) at deterministic window-barrier times, solving once per
-  /// control epoch for the representative 1/K demand slice; the plan is
-  /// installed on every shard via ServingSystem::install_plan(). K× fewer
-  /// solves than plain sharded mode, where each shard runs its own
-  /// allocator on its own clock. The physical clamp (every shard still
-  /// hosts at least one worker per task) remains. Deterministic for a fixed
-  /// shard count regardless of sim_threads (differential-tested).
+  /// Coordinated parallel mode (requires sim_shards > 1): ONE control plane
+  /// plans at window barriers from merged shard observations, instead of an
+  /// allocator per shard on its own clock, solving once per distinct worker
+  /// share (at most two) for that share's slice of the demand — once per
+  /// shard, over its detected survivors, with a fault plan or detector.
+  /// Deterministic for a fixed shard count regardless of sim_threads.
   bool sim_coordinated = false;
   /// Threads simulating shards in parallel mode, the calling thread
-  /// included (0 = min(shards, hw concurrency); capped at the shard count).
-  /// Shard i always runs on thread i mod sim_threads; 1 runs every shard on
-  /// the calling thread.
+  /// included (0 = min(shards, hw concurrency); capped at the shard count;
+  /// > 1 requires sim_shards > 1). Shard i always runs on thread
+  /// i mod sim_threads; 1 runs every shard on the calling thread.
   std::size_t sim_threads = 0;
-  /// Weighted shard splits (parallel modes): partition arrivals across
-  /// shards by per-shard worker share via a deterministic weighted
-  /// interleave (WeightedInterleave below) instead of round-robin. With
-  /// cluster_size % sim_shards == 0 every share is equal and the partition
-  /// reduces exactly to round-robin (differential-tested bit-identical);
-  /// with skewed shares a bigger shard receives proportionally more
-  /// arrivals, and coordinated mode plans each distinct share for its own
-  /// share-proportional demand slice instead of assuming 1/K everywhere —
-  /// the per-shard demand-skew gap of ROADMAP item 2.
-  bool sim_weighted_split = false;
-  /// Re-weight the weighted split at every window barrier (requires a
-  /// parallel mode; implies the weighted interleave): each window's arrivals
-  /// are dealt to shards in proportion to their *surviving* worker counts
-  /// (share minus crashed workers), so a shard that loses workers to a
-  /// FaultPlan crash also sheds its proportional load to its peers — the
-  /// post-crash demand re-split of ROADMAP item 4. It also models drifting
-  /// demand splits generally: the interleave is rebuilt only when the
-  /// weights actually change, so with constant weights (no faults) the
-  /// assignment — and the run's metrics — are bit-identical to the plain
-  /// weighted split (differential-tested).
-  bool sim_reweight = false;
-  /// Deterministic fault schedule (ROADMAP item 4), armed as first-class
-  /// simulation events. Worker ids are global cluster ids; the parallel
-  /// modes split the plan into per-shard local-id plans along the same
-  /// contiguous worker-share ranges the cluster split uses. An empty plan
-  /// arms nothing and is bit-identical to a run without the fault subsystem
-  /// (injection-off passivity, differential-tested in all three sim modes).
+  /// Deterministic fault schedule, armed as simulation events. Worker ids
+  /// are global; the parallel modes split the plan along the shards'
+  /// worker ranges. An empty plan arms nothing and is bit-identical to a run
+  /// without the fault subsystem (differential-tested in all three modes).
   fault::FaultPlan fault_plan;
   /// Failure-detector configuration (phi-style heartbeat suspicion).
   /// Disabled by default; enabling it turns on detection/quarantine/replan
@@ -109,10 +85,9 @@ struct ExperimentConfig {
   /// per run), and an optional path to CSV-export the final snapshot.
   obs::TraceOptions obs_trace;
   std::string obs_csv_path;
-  /// SLO-tier policy (graceful degradation, ROADMAP item 4). Disabled by
-  /// default; forwarded to every serving system. With tiers disabled — or
-  /// enabled over all-tier-0 traffic — runs are bit-identical to the
-  /// untiered system (differential-tested in all three sim modes).
+  /// SLO-tier policy, forwarded to every serving system. Disabled by
+  /// default; disabled, or enabled over all-tier-0 traffic, runs are
+  /// bit-identical to the untiered system (differential-tested).
   serving::TierPolicy tiers;
   /// Per-tier arrival mix, e.g. {0.2, 0.4, 0.4}: each arrival's tier is
   /// drawn from these weights on a dedicated RNG substream, in global
@@ -123,16 +98,22 @@ struct ExperimentConfig {
   std::uint64_t tier_seed = 99;
   /// Control-plane fallback chain around every epoch plan(): MILP within
   /// the deadline -> near-warm resolve -> greedy -> retain previous plan,
-  /// each gated by plan validation. Disabled by default. The rung-strategy
-  /// pointers may be left null: run_experiment then builds a near-warm MILP
-  /// and a greedy allocator per system (sized for its cluster slice) and
-  /// owns them for the run.
+  /// each gated by plan validation. Disabled by default. Null rung pointers
+  /// get a near-warm MILP and a greedy allocator per planner, sized for its
+  /// cluster slice and owned by run_experiment.
   serving::FallbackConfig fallback;
   /// Replay-driven arrivals: when non-empty, the experiment ignores the
-  /// demand curve's arrival sampling (and tier_mix) and feeds the replay's
-  /// exact (timestamp, tier) sequence instead — the curve still drives the
-  /// controllers' demand view, so pass trace::replay_demand_curve(replay).
+  /// demand curve's arrival sampling and feeds the replay's exact
+  /// (timestamp, tier) sequence instead (so tier_mix must stay empty) — the
+  /// curve still drives the controllers' demand view, so pass
+  /// trace::replay_demand_curve(replay).
   trace::QueryReplay replay;
+
+  /// Throws CheckFailure on contradictory settings: a tier_mix with a
+  /// replay, sim_coordinated or sim_threads > 1 without sim_shards > 1, or
+  /// a system_cfg fault plan, detector, tier policy or fallback chain.
+  /// run_experiment calls it first.
+  void validate() const;
 };
 
 struct ExperimentResult {
@@ -163,8 +144,8 @@ ExperimentResult run_experiment(const pipeline::PipelineGraph& graph,
 /// with the largest weighted deficit w_i * j - n_i, ties to the lowest
 /// index, where n_i counts items already assigned to shard i. Every prefix
 /// of the assignment tracks the weights to within one item per shard, and
-/// equal weights reduce exactly to round-robin (0, 1, ..., K-1, 0, ...) —
-/// the property the weighted-split differential test pins.
+/// equal weights reduce exactly to round-robin (0, 1, ..., K-1, 0, ...),
+/// which keeps equal-share parallel runs identical to a round-robin deal.
 class WeightedInterleave {
  public:
   /// `weights` must be non-negative with a positive sum (a zero-weight shard

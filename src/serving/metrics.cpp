@@ -1,18 +1,50 @@
 #include "serving/metrics.hpp"
 
+#include "common/check.hpp"
+
 namespace loki::serving {
+
+namespace {
+
+/// num / den point by point, for two series on the same timestamps. Where
+/// den is 0 the point repeats the previous ratio when `carry`, else reads 0
+/// — the rules roll() applies to one system's windows.
+TimeSeries ratio_series(const TimeSeries& num, const TimeSeries& den,
+                        bool carry) {
+  LOKI_CHECK(num.size() == den.size());
+  TimeSeries out;
+  double last = 0.0;
+  for (std::size_t i = 0; i < num.size(); ++i) {
+    const double d = den.points()[i].v;
+    if (d > 0.0) {
+      last = num.points()[i].v / d;
+    } else if (!carry) {
+      last = 0.0;
+    }
+    out.add(num.points()[i].t, last);
+  }
+  return out;
+}
+
+}  // namespace
 
 void Metrics::roll(double t) {
   while (t >= window_start_ + window_s_) {
     const double mid = window_start_ + window_s_ / 2.0;
     demand_series_.add(mid,
                        static_cast<double>(w_arrivals_) / window_s_);
+    violation_num_.add(mid, static_cast<double>(w_violations_));
+    violation_den_.add(mid, static_cast<double>(w_done_));
     if (w_done_ > 0) {
       violation_series_.add(
           mid, static_cast<double>(w_violations_) /
                    static_cast<double>(w_done_));
     } else {
       violation_series_.add(mid, 0.0);
+    }
+    if (w_accuracy_.count() > 0 || !accuracy_series_.empty()) {
+      accuracy_num_.add(mid, w_accuracy_.sum());
+      accuracy_den_.add(mid, static_cast<double>(w_accuracy_.count()));
     }
     if (w_accuracy_.count() > 0) {
       accuracy_series_.add(mid, w_accuracy_.mean());
@@ -86,6 +118,7 @@ void Metrics::record_utilization(double t, int servers_used,
                                  int cluster_size) {
   servers_.add(static_cast<double>(servers_used));
   servers_series_.add(t, static_cast<double>(servers_used));
+  cluster_series_.add(t, static_cast<double>(cluster_size));
   utilization_series_.add(t, cluster_size > 0
                                  ? static_cast<double>(servers_used) /
                                        static_cast<double>(cluster_size)
@@ -132,13 +165,17 @@ void Metrics::merge(const Metrics& other) {
   latency_.merge(other.latency_);
   servers_.merge(other.servers_);
   // Shards share the window grid (same window_s_, windows anchored at 0), so
-  // pointwise combination lines up. Count-like series sum; ratio series take
-  // the across-shard mean (see header caveat).
-  demand_series_.combine(other.demand_series_, /*sum=*/true);
-  servers_series_.combine(other.servers_series_, /*sum=*/true);
-  accuracy_series_.combine(other.accuracy_series_, /*sum=*/false);
-  violation_series_.combine(other.violation_series_, /*sum=*/false);
-  utilization_series_.combine(other.utilization_series_, /*sum=*/false);
+  // pointwise sums line up; every ratio is then rebuilt from its sums.
+  demand_series_.combine(other.demand_series_);
+  servers_series_.combine(other.servers_series_);
+  cluster_series_.combine(other.cluster_series_);
+  violation_num_.combine(other.violation_num_);
+  violation_den_.combine(other.violation_den_);
+  accuracy_num_.combine(other.accuracy_num_);
+  accuracy_den_.combine(other.accuracy_den_);
+  violation_series_ = ratio_series(violation_num_, violation_den_, false);
+  accuracy_series_ = ratio_series(accuracy_num_, accuracy_den_, true);
+  utilization_series_ = ratio_series(servers_series_, cluster_series_, false);
 }
 
 }  // namespace loki::serving

@@ -108,11 +108,10 @@ class Metrics {
   /// Folds another (flushed) Metrics into this one — the parallel-sim-mode
   /// reduction over per-shard serving systems. Counters and sample
   /// distributions merge exactly. Timeseries combine pointwise on the shared
-  /// window grid: count-like series (demand, servers, utilization·cluster)
-  /// sum; ratio series (accuracy, violation, utilization) take the
-  /// across-shard mean, which is exact only when shards carry equal weight —
-  /// round-robin arrival splitting makes them near-equal (documented
-  /// parallel-mode caveat in the README).
+  /// window grid: count-like series (demand, servers) sum, and each ratio
+  /// series (violation, accuracy, utilization) is recomputed from its summed
+  /// numerator and denominator, so the merged ratio weighs every shard by
+  /// its own queries (or workers) and does not depend on merge order.
   void merge(const Metrics& other);
 
  private:
@@ -152,6 +151,11 @@ class Metrics {
   TimeSeries violation_series_;
   TimeSeries utilization_series_;
   TimeSeries servers_series_;
+  // Numerators and denominators of the ratio series, point for point (the
+  // utilization numerator is servers_series_), for merge().
+  TimeSeries violation_num_, violation_den_;
+  TimeSeries accuracy_num_, accuracy_den_;
+  TimeSeries cluster_series_;
 };
 
 }  // namespace loki::serving

@@ -1,8 +1,9 @@
 // Experiment-driver tests: strategy factory, plan probing, capacity search,
-// and a full run_experiment smoke test.
+// a full run_experiment smoke test, and config validation.
 #include <gtest/gtest.h>
 
 #include "baselines/inferline.hpp"
+#include "common/check.hpp"
 #include "exp/experiment.hpp"
 #include "pipeline/pipelines.hpp"
 #include "profile/profiler.hpp"
@@ -99,6 +100,71 @@ TEST(RunExperiment, MetricsTimeseriesPopulated) {
   const auto result = run_experiment(graph, curve, cfg);
   EXPECT_GE(result.metrics.demand_series().size(), 7u);
   EXPECT_GE(result.metrics.utilization_series().size(), 30u);
+}
+
+/// A one-second run of `cfg`: validate() comes first, so a rejected config
+/// throws before anything is simulated.
+ExperimentResult tiny_run(const ExperimentConfig& cfg) {
+  trace::TraceConfig tcfg;
+  tcfg.shape = trace::TraceShape::kConstant;
+  tcfg.duration_s = 1.0;
+  tcfg.peak_qps = 10.0;
+  return run_experiment(pipeline::traffic_analysis_two_task_pipeline(),
+                        trace::generate_trace(tcfg), cfg);
+}
+
+ExperimentConfig tiny_config() {
+  ExperimentConfig cfg;
+  cfg.system = "greedy";
+  cfg.system_cfg.allocator.cluster_size = 8;
+  return cfg;
+}
+
+TEST(ValidateConfig, AcceptsTheDefaults) {
+  EXPECT_NO_THROW(tiny_run(tiny_config()));
+}
+
+TEST(ValidateConfig, RejectsTierMixWithReplay) {
+  auto cfg = tiny_config();
+  cfg.tier_mix = {0.5, 0.5};
+  cfg.replay.rows.push_back({0.5, 0, 1});
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsCoordinatedWithoutShards) {
+  auto cfg = tiny_config();
+  cfg.sim_coordinated = true;
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsThreadsWithoutShards) {
+  auto cfg = tiny_config();
+  cfg.sim_threads = 2;
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsSystemCfgFaultPlan) {
+  auto cfg = tiny_config();
+  cfg.system_cfg.fault_plan = fault::crash_plan(0, 0.5, 0.0);
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsSystemCfgDetector) {
+  auto cfg = tiny_config();
+  cfg.system_cfg.detector.enabled = true;
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsSystemCfgTiers) {
+  auto cfg = tiny_config();
+  cfg.system_cfg.tiers.enabled = true;
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
+}
+
+TEST(ValidateConfig, RejectsSystemCfgFallback) {
+  auto cfg = tiny_config();
+  cfg.system_cfg.fallback.enabled = true;
+  EXPECT_THROW(tiny_run(cfg), CheckFailure);
 }
 
 TEST(BaselinesHeader, IncludedTransitively) {

@@ -1,6 +1,8 @@
 // Metrics pipeline tests: outcome accounting, violation arithmetic, window
-// rolling, and utilization series.
+// rolling, utilization series, and the exact shard merge.
 #include <gtest/gtest.h>
+
+#include <array>
 
 #include "serving/metrics.hpp"
 
@@ -90,6 +92,43 @@ TEST(Metrics, UtilizationSeries) {
   ASSERT_EQ(u.size(), 2u);
   EXPECT_DOUBLE_EQ(u[0].v, 0.5);
   EXPECT_DOUBLE_EQ(u[1].v, 0.75);
+}
+
+TEST(Metrics, RatioSeriesMergeExactlyInAnyOrder) {
+  // Three one-query shards: violation ratios {1, 0, 0}, accuracies
+  // {0.25, 0.5, 1.0} and utilizations {1/4, 2/2, 0/2} in their first
+  // window. Merged, the window must read 1/3, 1.75/3 and 3/8 whatever the
+  // merge order: a pairwise mean would weigh the shards 1/4, 1/4, 1/2.
+  std::array<Metrics, 3> shards{Metrics(10.0), Metrics(10.0), Metrics(10.0)};
+  const QueryOutcome outcome[3] = {QueryOutcome::kLate, QueryOutcome::kOnTime,
+                                   QueryOutcome::kOnTime};
+  const double accuracy[3] = {0.25, 0.5, 1.0};
+  const int used[3] = {1, 2, 0};
+  const int cluster[3] = {4, 2, 2};
+  for (int s = 0; s < 3; ++s) {
+    shards[s].record_arrival(1.0);
+    shards[s].record_outcome(1.5, outcome[s], accuracy[s], 0.1);
+    shards[s].record_utilization(5.0, used[s], cluster[s]);
+    shards[s].flush(10.0);
+  }
+  for (const auto& order : {std::array<int, 3>{0, 1, 2},
+                            std::array<int, 3>{2, 1, 0},
+                            std::array<int, 3>{1, 2, 0}}) {
+    Metrics merged(10.0);
+    for (int s : order) merged.merge(shards[s]);
+    SCOPED_TRACE(order[0]);
+    ASSERT_FALSE(merged.violation_series().empty());
+    EXPECT_EQ(merged.violation_series().points()[0].v, 1.0 / 3.0);
+    ASSERT_FALSE(merged.accuracy_series().empty());
+    EXPECT_EQ(merged.accuracy_series().points()[0].v, 1.75 / 3.0);
+    ASSERT_EQ(merged.utilization_series().size(), 1u);
+    EXPECT_EQ(merged.utilization_series().points()[0].v, 3.0 / 8.0);
+    // Windows after the only query: no completions, so no violations, and
+    // the accuracy carries forward.
+    ASSERT_GE(merged.violation_series().size(), 2u);
+    EXPECT_EQ(merged.violation_series().points()[1].v, 0.0);
+    EXPECT_EQ(merged.accuracy_series().points()[1].v, 1.75 / 3.0);
+  }
 }
 
 TEST(Metrics, LatencyPercentiles) {

@@ -4,7 +4,7 @@
 //     cross-shard post merging, conservative-lookahead enforcement.
 //  2. Experiment-level differential checks: a K-shard run against the
 //     sequential reference — the total arrival count must match *exactly*
-//     (round-robin partition of one arrival sequence), aggregate accounting
+//     (share-weighted partition of one arrival sequence), aggregate accounting
 //     must hold in both modes, and the sharded run must be deterministic.
 //  3. Sequential bit-identity goldens: the one-shard path is the
 //     bit-reproducible reference, pinned to full-precision metrics captured
@@ -12,9 +12,10 @@
 //     SmallFunction callbacks must not perturb a single event ordering),
 //     and before the forward lane, with forward delays that break its
 //     monotone tail (the heap-fallback path).
-//  4. Parallel-mode goldens: coordinated, weighted-split, reweighted,
-//     tiered and replay-fed runs pinned to full-precision outcomes, so the
-//     window-by-window streamed arrival feed replays the same deal.
+//  4. Parallel-mode goldens: plain and coordinated runs with equal and
+//     skewed shares, crashes, tiers and replay feeds, pinned to
+//     full-precision outcomes, so the window-by-window streamed arrival feed
+//     replays the same deal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -288,7 +289,7 @@ TEST(ParallelExperiment, ShardedRunPreservesArrivalTotalExactly) {
   const auto seq = exp::run_experiment(graph, curve, diff_config(1));
   const auto par = exp::run_experiment(graph, curve, diff_config(2));
 
-  // The sharded run round-robins the *same* arrival sequence, so the total
+  // The sharded run deals out the *same* arrival sequence, so the total
   // is exact, not approximate.
   EXPECT_EQ(par.arrivals, seq.arrivals);
 
@@ -373,7 +374,7 @@ TEST(CoordinatedExperiment, PreservesArrivalTotalAndAccounting) {
   const auto seq = exp::run_experiment(graph, curve, diff_config(1));
   const auto coord = exp::run_experiment(graph, curve, coord_config(2, 0));
 
-  // Same round-robin partition of one arrival sequence as sharded mode:
+  // Same partition of one arrival sequence as sharded mode:
   // totals match the sequential reference exactly.
   EXPECT_EQ(coord.arrivals, seq.arrivals);
   EXPECT_GT(coord.arrivals, 0u);
@@ -442,8 +443,7 @@ TEST(ParallelExperiment, ShardCountIsClampedToClusterSize) {
 }
 
 // ---------------------------------------------------------------------------
-// Weighted shard splits (satellite of the observability PR; closes the
-// per-shard demand-skew gap of ROADMAP item 2)
+// Share-weighted arrival split (WeightedInterleave over surviving workers)
 // ---------------------------------------------------------------------------
 
 TEST(WeightedInterleave, EqualWeightsReduceToRoundRobin) {
@@ -472,53 +472,6 @@ TEST(WeightedInterleave, DeterministicAcrossInstances) {
   for (int j = 0; j < 200; ++j) EXPECT_EQ(a.next(), b.next());
 }
 
-TEST(WeightedSplit, EqualSharesAreBitIdenticalToRoundRobinSharded) {
-  // cluster_size 8 / 2 shards -> shares {4, 4}: the weighted interleave must
-  // reduce exactly to round-robin, so the whole run is bit-identical.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, diff_config(2));
-  auto wcfg = diff_config(2);
-  wcfg.sim_weighted_split = true;
-  const auto w = exp::run_experiment(graph, curve, wcfg);
-
-  EXPECT_EQ(w.arrivals, rr.arrivals);
-  EXPECT_EQ(w.drops, rr.drops);
-  EXPECT_EQ(w.metrics.completions(), rr.metrics.completions());
-  EXPECT_EQ(w.metrics.shed(), rr.metrics.shed());
-  EXPECT_DOUBLE_EQ(w.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(w.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(w.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(w.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(w.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(w.allocations, rr.allocations);
-}
-
-TEST(WeightedSplit, EqualSharesAreBitIdenticalToRoundRobinCoordinated) {
-  // Coordinated mode with equal shares: the per-distinct-share planning path
-  // collapses to one plan with fraction share/cluster == 1/K (the same exact
-  // binary double), so metrics must match the round-robin coordinated run
-  // bit for bit.
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, coord_config(2, 0));
-  auto wcfg = coord_config(2, 0);
-  wcfg.sim_weighted_split = true;
-  const auto w = exp::run_experiment(graph, curve, wcfg);
-
-  EXPECT_EQ(w.arrivals, rr.arrivals);
-  EXPECT_EQ(w.drops, rr.drops);
-  EXPECT_EQ(w.metrics.completions(), rr.metrics.completions());
-  EXPECT_DOUBLE_EQ(w.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(w.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(w.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(w.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(w.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(w.allocations, rr.allocations);
-}
-
 TEST(WeightedSplit, SkewedSharesSplitArrivalsProportionally) {
   // cluster_size 10 / 3 shards -> shares {4, 3, 3}. The weighted partition
   // must preserve the arrival total exactly and hand each shard a share-
@@ -530,13 +483,8 @@ TEST(WeightedSplit, SkewedSharesSplitArrivalsProportionally) {
 
   auto cfg = diff_config(3);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
-  const auto seqcfg = [&] {
-    auto c = cfg;
-    c.sim_shards = 1;
-    c.sim_weighted_split = false;
-    return c;
-  }();
+  auto seqcfg = cfg;
+  seqcfg.sim_shards = 1;
 
   const auto seq = exp::run_experiment(graph, curve, seqcfg);
   const auto w = exp::run_experiment(graph, curve, cfg);
@@ -567,7 +515,6 @@ TEST(WeightedSplit, SkewedCoordinatedRunIsDeterministicAndAccounted) {
 
   auto cfg = coord_config(3, 1);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
   const auto a = exp::run_experiment(graph, curve, cfg);
   cfg.sim_threads = 2;
   const auto b = exp::run_experiment(graph, curve, cfg);
@@ -588,54 +535,6 @@ TEST(WeightedSplit, SkewedCoordinatedRunIsDeterministicAndAccounted) {
             b.obs.counter_value("exp.shard0.arrivals"));
 }
 
-// ---------------------------------------------------------------------------
-// Barrier re-weighting (sim_reweight, ROADMAP item 4)
-// ---------------------------------------------------------------------------
-
-TEST(Reweight, ConstantWeightsAreBitIdenticalSharded) {
-  // With no faults the surviving-worker weights never change, so the
-  // re-weighting feed must reproduce the round-robin deal bit for bit
-  // (equal shares reduce the interleave to round-robin).
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, diff_config(2));
-  auto rcfg = diff_config(2);
-  rcfg.sim_reweight = true;
-  const auto rw = exp::run_experiment(graph, curve, rcfg);
-
-  EXPECT_EQ(rw.arrivals, rr.arrivals);
-  EXPECT_EQ(rw.drops, rr.drops);
-  EXPECT_EQ(rw.metrics.completions(), rr.metrics.completions());
-  EXPECT_EQ(rw.metrics.shed(), rr.metrics.shed());
-  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(rw.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(rw.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(rw.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(rw.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(rw.allocations, rr.allocations);
-}
-
-TEST(Reweight, ConstantWeightsAreBitIdenticalCoordinated) {
-  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
-  const auto curve = diff_curve();
-
-  const auto rr = exp::run_experiment(graph, curve, coord_config(2, 0));
-  auto rcfg = coord_config(2, 0);
-  rcfg.sim_reweight = true;
-  const auto rw = exp::run_experiment(graph, curve, rcfg);
-
-  EXPECT_EQ(rw.arrivals, rr.arrivals);
-  EXPECT_EQ(rw.drops, rr.drops);
-  EXPECT_EQ(rw.metrics.completions(), rr.metrics.completions());
-  EXPECT_DOUBLE_EQ(rw.slo_violation_ratio, rr.slo_violation_ratio);
-  EXPECT_DOUBLE_EQ(rw.mean_accuracy, rr.mean_accuracy);
-  EXPECT_DOUBLE_EQ(rw.mean_latency_s, rr.mean_latency_s);
-  EXPECT_DOUBLE_EQ(rw.p99_latency_s, rr.p99_latency_s);
-  EXPECT_DOUBLE_EQ(rw.mean_servers_used, rr.mean_servers_used);
-  EXPECT_EQ(rw.allocations, rr.allocations);
-}
-
 TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   // Kill a worker in shard 0 (global id 1, shares {4, 4}) with no recovery:
   // from the next window barrier on, shard 0's weight drops to 3 vs 4, so
@@ -645,7 +544,6 @@ TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
   const auto curve = diff_curve();
 
   auto cfg = diff_config(2);
-  cfg.sim_reweight = true;
   cfg.fault_plan = fault::crash_plan(1, 10.0, 0.0);
   const auto r = exp::run_experiment(graph, curve, cfg);
 
@@ -669,7 +567,10 @@ TEST(Reweight, CrashShiftsArrivalSplitToSurvivors) {
 
 // Full-precision outcomes of the parallel feed modes, captured while
 // run_experiment still materialized the whole arrival sequence and
-// pre-partitioned it across shards. The streamed window-by-window feed must deal every
+// pre-partitioned it across shards, or (ShardedRoundRobin,
+// CoordinatedSkewedShares, CoordinatedCrashFollowsSurvivors) while the
+// share-weighted split and its survivor re-weighting were still opt-in, with
+// both switched on. The streamed, always-weighted feed must deal every
 // arrival to the same shard at the same simulated time, so each run stays
 // bit-identical. Doubles compare with EXPECT_EQ: exact, not within ULPs.
 struct ParallelGolden {
@@ -710,11 +611,33 @@ TEST(ParallelGoldens, CoordinatedRoundRobin) {
                     {1590, 1590}});
 }
 
+TEST(ParallelGoldens, ShardedRoundRobin) {
+  // Equal shares, no crash: the weighted deal is round-robin.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  const auto r = exp::run_experiment(graph, diff_curve(), diff_config(2));
+  expect_golden(r, {3180, 38, 0, 3142,
+                    0.011949685534591196, 0.99975047740292777,
+                    0.092251549524716508, 0.22941097646271069,
+                    {1590, 1590}});
+}
+
 TEST(ParallelGoldens, ShardedWeightedSplit) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto cfg = diff_config(3);
   cfg.system_cfg.allocator.cluster_size = 10;
-  cfg.sim_weighted_split = true;
+  const auto r = exp::run_experiment(graph, diff_curve(), cfg);
+  expect_golden(r, {3180, 14, 0, 3166,
+                    0.0044025157232704401, 1.0,
+                    0.087638297597336073, 0.21792781272143846,
+                    {1272, 954, 954}});
+}
+
+TEST(ParallelGoldens, CoordinatedSkewedShares) {
+  // Shares {4, 3, 3}: one plan per distinct share, each for share / cluster
+  // of the merged demand.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(3, 0);
+  cfg.system_cfg.allocator.cluster_size = 10;
   const auto r = exp::run_experiment(graph, diff_curve(), cfg);
   expect_golden(r, {3180, 14, 0, 3166,
                     0.0044025157232704401, 1.0,
@@ -725,12 +648,24 @@ TEST(ParallelGoldens, ShardedWeightedSplit) {
 TEST(ParallelGoldens, ReweightAfterMidRunCrash) {
   const auto graph = pipeline::traffic_analysis_two_task_pipeline();
   auto cfg = diff_config(2);
-  cfg.sim_reweight = true;
   cfg.fault_plan = fault::crash_plan(1, 10.0, 0.0);
   const auto r = exp::run_experiment(graph, diff_curve(), cfg);
   expect_golden(r, {3180, 78, 48, 3102,
                     0.024528301886792454, 0.99949226305609307,
                     0.090806514042477582, 0.21592496243661954,
+                    {1381, 1799}});
+}
+
+TEST(ParallelGoldens, CoordinatedCrashFollowsSurvivors) {
+  // Shard 0 loses a worker at 10 s: the deal and shard 0's planned demand
+  // slice both drop to 3/7 from the next barrier on.
+  const auto graph = pipeline::traffic_analysis_two_task_pipeline();
+  auto cfg = coord_config(2, 0);
+  cfg.fault_plan = fault::crash_plan(1, 10.0, 0.0);
+  const auto r = exp::run_experiment(graph, diff_curve(), cfg);
+  expect_golden(r, {3180, 77, 48, 3103,
+                    0.024213836477987423, 0.99971801482436373,
+                    0.091151440308380002, 0.21570737920164076,
                     {1381, 1799}});
 }
 
